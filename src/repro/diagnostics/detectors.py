@@ -106,7 +106,7 @@ def detect_data_reuse(
                 )
     # Read-after-write across tasks (DDMD embedding-file pattern).
     order = {p.task: i for i, p in enumerate(profiles)}
-    for file in set(readers) & set(writers):
+    for file in sorted(readers.keys() & writers.keys()):
         for w in writers[file]:
             later_readers = [r for r in readers[file] if order.get(r, -1) > order.get(w, -1)]
             if later_readers:
@@ -168,7 +168,7 @@ def detect_disposable_data(profiles: Sequence[TaskProfile]) -> List[Insight]:
     readers, writers = _readers_writers(profiles)
     order = {p.task: i for i, p in enumerate(profiles)}
     insights = []
-    for file in set(readers) | set(writers):
+    for file in sorted(readers.keys() | writers.keys()):
         consumers = readers.get(file, [])
         if len(consumers) > 1:
             continue

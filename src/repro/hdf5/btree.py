@@ -13,9 +13,10 @@ allocate fresh nodes (more metadata churn, exactly like the real format).
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.hdf5.errors import H5FormatError
 from repro.hdf5.metaio import MetaIO
@@ -46,11 +47,11 @@ class _Node:
     addr: int = -1  # file address, set when persisted
 
     def encode(self, capacity: int) -> bytes:
-        out = _NODE_PREFIX.pack(_NODE_SIG, 1 if self.is_leaf else 0, self.ndim, len(self.entries))
-        for e in self.entries:
-            for c in e.key:
-                out += struct.pack("<Q", c)
-            out += struct.pack("<QQ", e.addr, e.size)
+        pack = _entry_struct(self.ndim).pack
+        out = b"".join([
+            _NODE_PREFIX.pack(_NODE_SIG, 1 if self.is_leaf else 0, self.ndim, len(self.entries)),
+            *[pack(*e.key, e.addr, e.size) for e in self.entries],
+        ])
         if len(out) > capacity:
             raise H5FormatError("B-tree node exceeds its allocation")
         return out.ljust(capacity, b"\x00")
@@ -62,22 +63,29 @@ class _Node:
         sig, is_leaf, ndim, count = _NODE_PREFIX.unpack_from(data)
         if sig != _NODE_SIG:
             raise H5FormatError(f"bad B-tree node signature {sig!r}")
-        node = cls(is_leaf=bool(is_leaf), ndim=ndim)
-        offset = _NODE_PREFIX.size
-        for _ in range(count):
-            key = tuple(
-                struct.unpack_from("<Q", data, offset + 8 * i)[0] for i in range(ndim)
-            )
-            offset += 8 * ndim
-            addr, size = struct.unpack_from("<QQ", data, offset)
-            offset += 16
-            node.entries.append(_Entry(key, addr, size))
-        return node
+        entry = _entry_struct(ndim)
+        end = _NODE_PREFIX.size + count * entry.size
+        if end > len(data):
+            raise H5FormatError("B-tree node entries overrun the block")
+        return cls(
+            is_leaf=bool(is_leaf),
+            ndim=ndim,
+            entries=[
+                _Entry(fields[:ndim], fields[ndim], fields[ndim + 1])
+                for fields in entry.iter_unpack(memoryview(data)[_NODE_PREFIX.size:end])
+            ],
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_struct(ndim: int) -> struct.Struct:
+    """One node entry: ``ndim`` key coordinates, then address and size."""
+    return struct.Struct(f"<{ndim + 2}Q")
 
 
 def node_capacity(ndim: int) -> int:
     """Fixed allocation size of a node for a given key rank."""
-    return _NODE_PREFIX.size + MAX_ENTRIES * (8 * ndim + 16)
+    return _NODE_PREFIX.size + MAX_ENTRIES * _entry_struct(ndim).size
 
 
 _node_capacity = node_capacity  # internal alias
@@ -100,6 +108,8 @@ class ChunkBTree:
         self._io = io
         self._ndim = ndim
         self._capacity = _node_capacity(ndim)
+        #: addr -> (bytes, node) of the last node decoded or written there.
+        self._decoded: Dict[int, Tuple[bytes, _Node]] = {}
         if root_addr is None:
             root = _Node(is_leaf=True, ndim=ndim)
             root.addr = io.allocate(self._capacity)
@@ -120,16 +130,31 @@ class ChunkBTree:
     # Node persistence
     # ------------------------------------------------------------------
     def _read_node(self, addr: int) -> _Node:
-        node = _Node.decode(self._io.read(addr, self._capacity))
+        """The node at ``addr``.  The block is always read through the
+        metadata cache; decoding is skipped when its bytes equal those of
+        the node last decoded or written there."""
+        data = self._io.read(addr, self._capacity)
+        kept = self._decoded.get(addr)
+        if kept is not None and kept[0] == data:
+            return kept[1]
+        node = _Node.decode(data)
         node.addr = addr
         if node.ndim != self._ndim:
             raise H5FormatError(
                 f"B-tree node rank {node.ndim} != tree rank {self._ndim}"
             )
+        self._decoded[addr] = (data, node)
         return node
 
+    def _release(self, node: _Node) -> None:
+        """Forget ``node``'s decoded form before changing it in memory, so a
+        change that is never written back cannot be served as the block."""
+        self._decoded.pop(node.addr, None)
+
     def _write_node(self, node: _Node) -> None:
-        self._io.write(node.addr, node.encode(self._capacity))
+        data = node.encode(self._capacity)
+        self._io.write(node.addr, data)
+        self._decoded[node.addr] = (data, node)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -186,6 +211,7 @@ class ChunkBTree:
         """Insert below ``node_addr``; returns (sep_key, new_node_addr) on split."""
         node = self._read_node(node_addr)
         if node.is_leaf:
+            self._release(node)
             for e in node.entries:
                 if e.key == key:
                     e.addr, e.size = addr, size
@@ -198,6 +224,7 @@ class ChunkBTree:
             if child is None:
                 # Key sorts before every separator: route to the first child
                 # and lower that separator.
+                self._release(node)
                 child = node.entries[0]
                 child.key = key
                 node.entries.sort(key=lambda e: e.key)
@@ -206,6 +233,7 @@ class ChunkBTree:
             if split is None:
                 return None
             sep_key, new_addr = split
+            self._release(node)
             node.entries.append(_Entry(sep_key, new_addr))
             node.entries.sort(key=lambda e: e.key)
         if len(node.entries) <= MAX_ENTRIES:

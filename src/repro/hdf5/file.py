@@ -36,8 +36,6 @@ from repro.hdf5.oheader import (
     MessageType,
     ObjectHeader,
     ObjectKind,
-    decode_link,
-    encode_link,
 )
 from repro.posix.simfs import SimFS
 from repro.vfd.base import IoClass, VirtualFileDriver
@@ -221,8 +219,7 @@ class H5File:
         rec = self._record(oid)
         header = rec.header
         if rec.kind == ObjectKind.GROUP:
-            for m in header.find_all(MessageType.LINK):
-                name, kind, child_addr = decode_link(m.payload)
+            for name, (kind, child_addr) in header.link_index().items():
                 child_oid = self.adopt(child_addr, parent_oid=oid,
                                        name=name, kind=kind)
                 self.reclaim_object(child_oid)
@@ -293,15 +290,11 @@ class H5File:
             self._superblock.root_addr = new_addr
             return
         parent = self._record(rec.parent_oid)
-        for m in parent.header.find_all(MessageType.LINK):
-            link_name, kind, _ = decode_link(m.payload)
-            if link_name == rec.name:
-                m.payload = encode_link(link_name, kind, new_addr)
-                parent.dirty = True
-                return
-        raise H5FormatError(
-            f"parent of {rec.name!r} has no link to it (corrupt registry)"
-        )
+        if not parent.header.repoint_link(rec.name, new_addr):
+            raise H5FormatError(
+                f"parent of {rec.name!r} has no link to it (corrupt registry)"
+            )
+        parent.dirty = True
 
     def flush(self) -> None:
         """Write all pending state: heap directories, dirty headers, superblock."""

@@ -23,13 +23,7 @@ from repro.hdf5.layout import (
     ContiguousLayout,
     encode_layout,
 )
-from repro.hdf5.oheader import (
-    Message,
-    MessageType,
-    ObjectKind,
-    decode_link,
-    encode_link,
-)
+from repro.hdf5.oheader import Message, MessageType, ObjectKind
 
 __all__ = ["Group"]
 
@@ -67,55 +61,33 @@ class Group:
     # ------------------------------------------------------------------
     # Links
     # ------------------------------------------------------------------
-    def _links(self) -> List[Tuple[str, ObjectKind, int]]:
-        return [
-            decode_link(m.payload)
-            for m in self._header.find_all(MessageType.LINK)
-        ]
-
     def keys(self) -> List[str]:
         """Child names in link order."""
-        return [name for name, _, _ in self._links()]
+        return list(self._header.link_index())
 
     def __contains__(self, name: str) -> bool:
         head, _, rest = name.strip("/").partition("/")
-        for link_name, _, _ in self._links():
-            if link_name == head:
-                if not rest:
-                    return True
-                child = self._open_child(head)
-                return isinstance(child, Group) and rest in child
-        return False
+        if head not in self._header.link_index():
+            return False
+        if not rest:
+            return True
+        child = self._open_child(head)
+        return isinstance(child, Group) and rest in child
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.keys())
 
     def __len__(self) -> int:
-        return len(self.keys())
+        return len(self._header.link_index())
 
     def _find_link(self, name: str) -> Optional[Tuple[ObjectKind, int]]:
-        for link_name, kind, addr in self._links():
-            if link_name == name:
-                return kind, addr
-        return None
+        return self._header.link_index().get(name)
 
     def _add_link(self, name: str, kind: ObjectKind, addr: int) -> None:
         if self._find_link(name) is not None:
             raise H5NameError(f"name {name!r} already exists in {self._path!r}")
-        self._header.messages.append(
-            Message(MessageType.LINK, encode_link(name, kind, addr))
-        )
+        self._header.add_link(name, kind, addr)
         self._touch()
-
-    def _update_link(self, name: str, new_addr: int) -> None:
-        """Re-point a child link after its header relocated."""
-        for m in self._header.find_all(MessageType.LINK):
-            link_name, kind, _ = decode_link(m.payload)
-            if link_name == name:
-                m.payload = encode_link(link_name, kind, new_addr)
-                self._touch()
-                return
-        raise H5NameError(f"no link named {name!r} in {self._path!r}")
 
     # ------------------------------------------------------------------
     # Lookup
@@ -270,10 +242,7 @@ class Group:
             raise H5NameError(f"no object named {name!r} in {self._path!r}")
         child = self._open_child(name)
         self._file.reclaim_object(child._oid)
-        removed = self._header.remove(
-            lambda m: m.type == MessageType.LINK
-            and decode_link(m.payload)[0] == name
-        )
+        removed = self._header.remove_link(name)
         assert removed == 1
         self._touch()
 
@@ -287,13 +256,13 @@ class Group:
         """All immediate child datasets (in link order)."""
         return [
             self._open_child(name)
-            for name, kind, _ in self._links()
+            for name, (kind, _) in self._header.link_index().items()
             if kind == ObjectKind.DATASET
         ]
 
     def visit(self, func) -> None:
         """Call ``func(path, object)`` for every descendant, depth-first."""
-        for name, kind, _ in self._links():
+        for name in self.keys():
             child = self._open_child(name)
             func(child.name, child)
             if isinstance(child, Group):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.hdf5.errors import H5FormatError
 from repro.hdf5.format import pack_bytes, unpack_bytes
@@ -76,11 +76,22 @@ class Message:
 
 @dataclass
 class ObjectHeader:
-    """An object header block: kind + message list + block capacity."""
+    """An object header block: kind + message list + block capacity.
+
+    LINK messages are read and written only through :meth:`link_index`,
+    :meth:`add_link`, :meth:`repoint_link` and :meth:`remove_link`.  The
+    first builds a ``name -> (kind, addr)`` index on demand; adding a link
+    updates it, and the rarer re-point and removal drop it to be rebuilt.
+    A lookup therefore decodes each link once per header, not once per
+    access.
+    """
 
     kind: ObjectKind
     messages: List[Message] = field(default_factory=list)
     capacity: int = DEFAULT_HEADER_CAPACITY
+    _links: Optional[Dict[str, Tuple[ObjectKind, int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Sizing
@@ -116,6 +127,8 @@ class ObjectHeader:
 
     def replace(self, mtype: MessageType, payload: bytes) -> None:
         """Replace the first message of ``mtype`` (or append if absent)."""
+        if mtype == MessageType.LINK:
+            self._links = None
         for m in self.messages:
             if m.type == mtype:
                 m.payload = payload
@@ -124,9 +137,57 @@ class ObjectHeader:
 
     def remove(self, predicate) -> int:
         """Remove messages matching ``predicate(message)``; returns count."""
-        before = len(self.messages)
-        self.messages = [m for m in self.messages if not predicate(m)]
-        return before - len(self.messages)
+        kept = [m for m in self.messages if not predicate(m)]
+        removed = len(self.messages) - len(kept)
+        if removed:
+            self._links = None
+        self.messages = kept
+        return removed
+
+    # ------------------------------------------------------------------
+    # Links
+    # ------------------------------------------------------------------
+    def link_index(self) -> Dict[str, Tuple[ObjectKind, int]]:
+        """``name -> (kind, addr)`` over the LINK messages, in message order.
+
+        A name linked twice (only a hand-made file can hold that) maps to
+        its first link.  The dict is owned by the header: read it, but
+        change links only through the methods below.
+        """
+        if self._links is None:
+            links: Dict[str, Tuple[ObjectKind, int]] = {}
+            for m in self.messages:
+                if m.type == MessageType.LINK:
+                    name, kind, addr = decode_link(m.payload)
+                    links.setdefault(name, (kind, addr))
+            self._links = links
+        return self._links
+
+    def add_link(self, name: str, kind: ObjectKind, addr: int) -> None:
+        """Append a LINK message naming a child."""
+        links = self.link_index()
+        self.messages.append(Message(MessageType.LINK, encode_link(name, kind, addr)))
+        links.setdefault(name, (kind, addr))
+
+    def repoint_link(self, name: str, addr: int) -> bool:
+        """Point the first link named ``name`` at a new header address.
+
+        Returns False when no link has that name.
+        """
+        for m in self.messages:
+            if m.type == MessageType.LINK:
+                link_name, kind, _ = decode_link(m.payload)
+                if link_name == name:
+                    m.payload = encode_link(name, kind, addr)
+                    self._links = None
+                    return True
+        return False
+
+    def remove_link(self, name: str) -> int:
+        """Remove every LINK message named ``name``; returns the count."""
+        return self.remove(
+            lambda m: m.type == MessageType.LINK and decode_link(m.payload)[0] == name
+        )
 
     # ------------------------------------------------------------------
     # Serialization

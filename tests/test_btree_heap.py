@@ -1,9 +1,12 @@
 """Unit tests for the chunk-index B-tree and the global heap."""
 
+import hashlib
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hdf5.btree import MAX_ENTRIES, ChunkBTree
+from repro.hdf5.btree import MAX_ENTRIES, ChunkBTree, _Entry, _Node, node_capacity
 from repro.hdf5.errors import H5FormatError
 from repro.hdf5.freespace import FreeSpaceManager
 from repro.hdf5.heap import GlobalHeap, HeapRef
@@ -115,6 +118,118 @@ class TestChunkBTree:
         for k, v in ref.items():
             assert tree.lookup(k) == v
         assert [k for k, _, _ in tree.items()] == sorted(ref)
+
+
+def _golden_node(ndim, n):
+    entries = [
+        _Entry(tuple(i * 7 + d * 3 + 1 for d in range(ndim)), 4096 + i * 977, (i * 131) % 5000)
+        for i in range(n)
+    ]
+    return _Node(is_leaf=(n % 2 == 0), ndim=ndim, entries=entries)
+
+
+#: SHA-256 of ``_golden_node(ndim, n).encode(node_capacity(ndim))`` as the
+#: per-coordinate encoder produced it; the fixed-width entry codec must
+#: write the same bytes.
+GOLDEN_NODE_SHA256 = {
+    (1, 0): "35c8b9f6f3765f1c640d6dcc5aec9f198ddfaa016915b19e28a13f9a5b36aa20",
+    (1, 1): "314ddf43b2ec88a3be5b3db814ef6dd75056a53919fcb5217ce5070a1b1d4f1a",
+    (1, 32): "2b3bab598bf115eadcc159f795aef9a7621501cad493f65d5296ea0e65c5eb01",
+    (2, 0): "f275fce60bc73761eb2dc7e7a2609135a28105e4de4a04fa99cab5b0dca596b8",
+    (2, 1): "85df304f3a47561ed82cbd5955a7eed10e3f39fd8d134d644d9316b529070f78",
+    (2, 32): "87bde229df0a75b97281752a6cdd89ac1395fd85f785de00e2b893338504550d",
+    (3, 0): "b6aff4027f86a064790415d2454a07678e6157e7fc73f7c7068251d43d2ef27c",
+    (3, 1): "288d83096464220f5b08844708896b3fd8f5fffe850a2cb2164cebbc28222187",
+    (3, 32): "74a0dc3d7dd701ce73b5bad198bc1e41365c836936a695f795acd43f99afedd9",
+    (4, 0): "fbcb6e0f641ad6b879e012b174d35a7afd8e0153194f61dcbdae94d048922312",
+    (4, 1): "0c73a19353f0ccadb31def4d5a758b1684f4e8f3a9ba4d5a5e39eebc0429ab91",
+    (4, 32): "5799ff97e794e6eff95d05e4a41ca91396d47ff0205ba0d7f433d666ce7b751d",
+}
+
+
+class TestNodeCodec:
+    @pytest.mark.parametrize("ndim,n", sorted(GOLDEN_NODE_SHA256))
+    def test_golden_bytes_and_roundtrip(self, ndim, n):
+        assert n in (0, 1, MAX_ENTRIES)
+        node = _golden_node(ndim, n)
+        data = node.encode(node_capacity(ndim))
+        assert len(data) == node_capacity(ndim)
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_NODE_SHA256[(ndim, n)]
+        back = _Node.decode(data)
+        assert (back.is_leaf, back.ndim, back.entries) == (node.is_leaf, ndim, node.entries)
+        assert back.encode(node_capacity(ndim)) == data
+
+    def test_entry_count_overrunning_block(self):
+        data = bytearray(_golden_node(2, 1).encode(node_capacity(2)))
+        struct.pack_into("<H", data, 6, 200)  # the prefix's entry count
+        with pytest.raises(H5FormatError, match="overrun"):
+            _Node.decode(bytes(data))
+
+    def test_truncated_entries(self):
+        data = _golden_node(2, 1).encode(node_capacity(2))
+        with pytest.raises(H5FormatError, match="overrun"):
+            _Node.decode(data[: 8 + 20])
+        with pytest.raises(H5FormatError, match="truncated"):
+            _Node.decode(data[:5])
+
+    def test_bad_signature(self):
+        data = b"XXXX" + _golden_node(1, 1).encode(node_capacity(1))[4:]
+        with pytest.raises(H5FormatError, match="signature"):
+            _Node.decode(data)
+
+    def test_node_of_wrong_rank_rejected(self, io):
+        tree = ChunkBTree(io, ndim=2)
+        io.write(tree.root_addr, _golden_node(1, 1).encode(node_capacity(2)))
+        with pytest.raises(H5FormatError, match="rank"):
+            tree.lookup((0, 0))
+
+
+class TestDecodedNodes:
+    def test_every_node_read_goes_through_the_cache(self, io):
+        tree = ChunkBTree(io, ndim=1)
+        for i in range(MAX_ENTRIES + 1):
+            tree.insert((i,), i, 1)
+        before = io.cache.hits + io.cache.misses
+        for _ in range(5):
+            assert tree.lookup((3,)) == (3, 1)
+        # Two levels: a root and a leaf read per lookup.
+        assert io.cache.hits + io.cache.misses - before == 10
+
+    def test_cache_disabled(self):
+        fs = SimFS(SimClock(), mounts=[Mount("/", make_device("ram"))])
+        io = MetaIO(Sec2VFD(fs, "/n.bin", "w"), FreeSpaceManager(),
+                    MetadataCache(enabled=False))
+        tree = ChunkBTree(io, ndim=1)
+        for i in reversed(range(MAX_ENTRIES * 2)):
+            tree.insert((i,), i + 5, 2)
+        assert [k for (k,), _, _ in tree.items()] == list(range(MAX_ENTRIES * 2))
+        assert tree.lookup((7,)) == (12, 2)
+
+    def test_change_that_failed_to_write_is_not_served(self, io):
+        tree = ChunkBTree(io, ndim=1)
+        tree.insert((1,), 10, 1)
+        assert tree.lookup((1,)) == (10, 1)
+        real_write = io.write
+
+        def failing_write(addr, data):
+            raise OSError("injected")
+
+        io.write = failing_write
+        with pytest.raises(OSError):
+            tree.insert((2,), 20, 1)
+        with pytest.raises(OSError):
+            tree.insert((1,), 99, 9)
+        io.write = real_write
+        assert tree.lookup((2,)) is None
+        assert tree.lookup((1,)) == (10, 1)
+
+    def test_block_changed_behind_the_tree(self, io):
+        tree = ChunkBTree(io, ndim=1)
+        tree.insert((1,), 10, 1)
+        other = ChunkBTree(io, ndim=1, root_addr=tree.root_addr)
+        assert other.lookup((1,)) == (10, 1)
+        tree.insert((1,), 30, 3)
+        assert other.lookup((1,)) == (30, 3)
 
 
 class TestGlobalHeap:

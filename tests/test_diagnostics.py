@@ -351,3 +351,44 @@ class TestDiagnoseReport:
         groups = diagnose(self._workflow()).by_guideline()
         assert "customized_caching" in groups
         assert all(i.guideline == g for g, items in groups.items() for i in items)
+
+
+_DIAGNOSE_SCRIPT = """
+import json, sys
+from repro.diagnostics import diagnose
+from repro.guidelines import recommend
+from repro.mapper.persist import load_profiles_from_host_dir
+
+report = diagnose(load_profiles_from_host_dir(sys.argv[1]))
+print(report.to_json())
+print(json.dumps([r.to_json_dict() for r in recommend(report.insights)]))
+"""
+
+
+def test_insight_order_independent_of_hash_seed(tmp_path):
+    """``insights.json`` and ``recommend()`` output must not depend on
+    string hashing: two interpreters with different ``PYTHONHASHSEED``
+    produce the same bytes from the same ddmd traces."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.cli import run_main
+
+    traces = tmp_path / "traces"
+    assert run_main(["ddmd", "--out", str(traces), "--scale", "0.2"]) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIAGNOSE_SCRIPT, str(traces)],
+            capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert b"read_after_write" in outputs[0]
+    assert b"disposable_data" in outputs[0]
+    assert outputs[0] == outputs[1] == outputs[2]
