@@ -22,8 +22,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hdf5.dataspace import Dataspace, Selection, selection_runs
-from repro.hdf5.datatype import Datatype
+from repro.hdf5.dataspace import (
+    Dataspace,
+    Selection,
+    decode_dataspace,
+    selection_runs,
+)
+from repro.hdf5.datatype import Datatype, decode_datatype
 from repro.hdf5.errors import H5LayoutError, H5StateError, H5TypeError
 from repro.hdf5.heap import HeapRef
 from repro.hdf5.layout import (
@@ -55,8 +60,8 @@ class Dataset:
         layout_msg = header.find(MessageType.LAYOUT)
         if space_msg is None or type_msg is None or layout_msg is None:
             raise H5StateError(f"object at {path!r} is not a complete dataset")
-        self._space, _ = Dataspace.decode(space_msg.payload)
-        self._dtype, _ = Datatype.decode(type_msg.payload)
+        self._space = decode_dataspace(space_msg.payload)
+        self._dtype = decode_datatype(type_msg.payload)
         self._layout: Layout = decode_layout(layout_msg.payload)
         self._btree: Optional[ChunkBTree] = None
 
@@ -285,11 +290,7 @@ class Dataset:
         slabs = selection.resolve(self._space)
         itemsize = self._dtype.itemsize
         chunk_nbytes = self._chunk_npoints * itemsize
-        np_dtype = (
-            np.dtype(f"S{itemsize}")
-            if self._dtype.code.startswith("S")
-            else self._dtype.numpy_dtype
-        )
+        np_dtype = self._dtype.numpy_dtype
         for coords in self._chunks_overlapping(slabs):
             box = self._chunk_box(coords)
             inter = _intersect(slabs, box)
@@ -440,11 +441,7 @@ class Dataset:
     def _read_fixed(self, selection: Selection) -> np.ndarray:
         layout = self._layout
         itemsize = self._dtype.itemsize
-        np_dtype = (
-            np.dtype(f"S{itemsize}")
-            if self._dtype.code.startswith("S")
-            else self._dtype.numpy_dtype
-        )
+        np_dtype = self._dtype.numpy_dtype
         out_shape = selection.out_shape(self._space)
         if isinstance(layout, CompactLayout):
             buf = layout.data.ljust(self.size * itemsize, b"\x00")

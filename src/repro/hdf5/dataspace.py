@@ -11,13 +11,14 @@ the paper's two translation steps.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.hdf5.errors import H5FormatError, H5TypeError
 
-__all__ = ["Dataspace", "Selection", "selection_runs"]
+__all__ = ["Dataspace", "Selection", "selection_runs", "decode_dataspace"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class Dataspace:
     def ndim(self) -> int:
         return len(self.shape)
 
-    @property
+    @functools.cached_property
     def npoints(self) -> int:
         """Total number of elements (1 for a scalar dataspace)."""
         n = 1
@@ -65,6 +66,17 @@ class Dataspace:
         return cls(tuple(dims)), offset
 
 
+@functools.lru_cache(maxsize=4096)
+def decode_dataspace(payload: bytes) -> Dataspace:
+    """The :class:`Dataspace` of a DATASPACE message payload.
+
+    Memoized on the payload bytes: decoding is pure and the result is
+    frozen, so every open of a dataset with a given shape shares one
+    decoded instance.
+    """
+    return Dataspace.decode(payload)[0]
+
+
 @dataclass(frozen=True)
 class Selection:
     """A hyperslab: per-dimension ``(start, count)`` pairs, or ALL.
@@ -78,8 +90,8 @@ class Selection:
 
     @classmethod
     def all(cls) -> "Selection":
-        """Select every element."""
-        return cls(None)
+        """Select every element (one shared frozen instance)."""
+        return _ALL
 
     @classmethod
     def hyperslab(cls, slabs: Sequence[Sequence[int]]) -> "Selection":
@@ -115,6 +127,8 @@ class Selection:
 
     def npoints(self, space: Dataspace) -> int:
         """Number of selected elements."""
+        if self.slabs is None:
+            return space.npoints
         n = 1
         for _, count in self.resolve(space):
             n *= count
@@ -123,6 +137,9 @@ class Selection:
     def out_shape(self, space: Dataspace) -> Tuple[int, ...]:
         """Shape of the array a read of this selection produces."""
         return tuple(count for _, count in self.resolve(space))
+
+
+_ALL = Selection(None)
 
 
 def selection_runs(space: Dataspace, selection: Selection) -> List[Tuple[int, int]]:
@@ -134,6 +151,9 @@ def selection_runs(space: Dataspace, selection: Selection) -> List[Tuple[int, in
     innermost contiguous block.  This is the translation that determines
     how many I/O operations a logical access costs.
     """
+    if selection.slabs is None:  # ALL: one run over every element
+        n = space.npoints
+        return [(0, n)] if n else []
     slabs = selection.resolve(space)
     if space.ndim == 0:
         return [(0, 1)]

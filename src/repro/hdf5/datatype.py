@@ -15,6 +15,7 @@ Three classes exist:
 
 from __future__ import annotations
 
+import functools
 import re
 import struct
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 from repro.hdf5.errors import H5TypeError
 from repro.hdf5.format import pack_bytes, unpack_bytes
 
-__all__ = ["Datatype"]
+__all__ = ["Datatype", "decode_datatype"]
 
 _FIXED_CODES = {
     "i1": 1, "i2": 2, "i4": 4, "i8": 8,
@@ -92,7 +93,7 @@ class Datatype:
     def is_string(self) -> bool:
         return self.code == "vlen-str" or self.code.startswith("S")
 
-    @property
+    @functools.cached_property
     def itemsize(self) -> int:
         """Inline bytes per element (heap-reference size for vlen types)."""
         if self.is_vlen:
@@ -101,7 +102,7 @@ class Datatype:
             return _FIXED_CODES[self.code]
         return int(_FIXED_STR_RE.match(self.code).group(1))
 
-    @property
+    @functools.cached_property
     def numpy_dtype(self) -> np.dtype:
         """The NumPy dtype of in-memory fixed elements.
 
@@ -149,3 +150,10 @@ class Datatype:
 
     def __str__(self) -> str:
         return self.code
+
+
+@functools.lru_cache(maxsize=4096)
+def decode_datatype(payload: bytes) -> Datatype:
+    """The :class:`Datatype` of a DATATYPE message payload, memoized on the
+    payload bytes (decoding is pure and the result is frozen)."""
+    return Datatype.decode(payload)[0]

@@ -44,7 +44,7 @@ from io import BytesIO
 from typing import BinaryIO, Dict, Iterable, List, Optional, Tuple
 
 from repro.vfd.base import IoClass
-from repro.vfd.tracing import FileSession, VfdIoRecord
+from repro.vfd.tracing import FileSession, VfdIoRecord, new_io_record
 from repro.vol.tracer import DataObjectProfile
 
 from repro.mapper.stats import DatasetIoStats
@@ -428,10 +428,9 @@ class _FrameDecoder:
         nbytes = self._vu()
         start = self._f64()
         duration = self._f64()
-        return VfdIoRecord(
-            task=task, file=file, op=_OP_NAMES[flags & 1],
-            offset=offset, nbytes=nbytes, start=start, duration=duration,
-            access_type=_IOCLASS_VALUES[(flags >> 1) & 1], data_object=obj,
+        return new_io_record(
+            task, file, _OP_NAMES[flags & 1], offset, nbytes, start,
+            duration, _IOCLASS_VALUES[(flags >> 1) & 1], obj,
         )
 
     def skip_block(self) -> None:

@@ -77,7 +77,7 @@ import numpy as np
 
 from repro.mapper import codec
 from repro.mapper.stats import DatasetIoStats
-from repro.vfd.tracing import FileSession, VfdIoRecord
+from repro.vfd.tracing import FileSession, VfdIoRecord, new_io_record
 from repro.vol.tracer import DataObjectProfile
 
 __all__ = [
@@ -873,11 +873,9 @@ class GroupReader:
 
         col, scol = self.column, self.strid_column
         return [
-            VfdIoRecord(
-                task=task, file=file, op=codec._OP_NAMES[flags & 1],
-                offset=offset, nbytes=nbytes, start=start, duration=dur,
-                access_type=codec._IOCLASS_VALUES[(flags >> 1) & 1],
-                data_object=obj,
+            new_io_record(
+                task, file, codec._OP_NAMES[flags & 1], offset, nbytes,
+                start, dur, codec._IOCLASS_VALUES[(flags >> 1) & 1], obj,
             )
             for task, file, obj, flags, offset, nbytes, start, dur in zip(
                 scol("records", "task"), scol("records", "file"),

@@ -26,7 +26,7 @@ from repro.mapper.stats import DatasetIoStats
 from repro.posix.simfs import SimFS
 from repro.simclock import TimeSpan
 from repro.vfd.base import IoClass
-from repro.vfd.tracing import FileSession, VfdIoRecord
+from repro.vfd.tracing import FileSession, VfdIoRecord, new_io_record
 from repro.vol.tracer import DataObjectProfile
 
 __all__ = [
@@ -88,16 +88,10 @@ def _session_from(d: dict) -> FileSession:
 
 
 def _record_from(d: dict) -> VfdIoRecord:
-    return VfdIoRecord(
-        task=d.get("task"),
-        file=d["file"],
-        op=d["op"],
-        offset=d["offset"],
-        nbytes=d["nbytes"],
-        start=d["start"],
-        duration=d["duration"],
-        access_type=IoClass(d["access_type"]),
-        data_object=d.get("data_object"),
+    return new_io_record(
+        d.get("task"), d["file"], d["op"], d["offset"], d["nbytes"],
+        d["start"], d["duration"], IoClass(d["access_type"]),
+        d.get("data_object"),
     )
 
 

@@ -139,28 +139,40 @@ class DatasetIoStats:
         return self.access_count > 0 and self.data_ops == 0
 
     def observe(self, record: VfdIoRecord, page_size: int) -> None:
-        """Fold one VFD record into the statistics."""
+        """Fold one VFD record into the statistics.
+
+        ``page_size`` must be positive; :func:`map_characteristics`
+        checks it once per join instead of once per record.
+        """
+        nbytes = record.nbytes
         if record.op == "read":
             self.reads += 1
-            self.bytes_read += record.nbytes
+            self.bytes_read += nbytes
         else:
             self.writes += 1
-            self.bytes_written += record.nbytes
+            self.bytes_written += nbytes
         if record.access_type is IoClass.METADATA:
             self.metadata_ops += 1
-            self.metadata_bytes += record.nbytes
+            self.metadata_bytes += nbytes
         else:
             if self.first_raw_op is None:
                 self.first_raw_op = record.op
             self.data_ops += 1
-            self.data_bytes += record.nbytes
-        self.io_time += record.duration
-        if self.first_start is None or record.start < self.first_start:
-            self.first_start = record.start
-        if self.last_end is None or record.end > self.last_end:
-            self.last_end = record.end
-        first, last = record.region(page_size)
-        self._region_runs.append((first, last, 1))
+            self.data_bytes += nbytes
+        start = record.start
+        duration = record.duration
+        self.io_time += duration
+        if self.first_start is None or start < self.first_start:
+            self.first_start = start
+        end = start + duration  # VfdIoRecord.end
+        if self.last_end is None or end > self.last_end:
+            self.last_end = end
+        # VfdIoRecord.region(page_size), inline.
+        offset = record.offset
+        last = offset + nbytes - 1
+        if last < offset:
+            last = offset
+        self._region_runs.append((offset // page_size, last // page_size, 1))
         self._runs_coalesced = False
         self._regions_cache = None
 
@@ -234,7 +246,12 @@ def map_characteristics(
     Records without an object scope are attributed to
     :data:`FILE_METADATA_OBJECT` of their file.  Results are ordered by
     first touch.
+
+    Raises:
+        ValueError: When ``page_size`` is not positive.
     """
+    if page_size <= 0:
+        raise ValueError("page_size must be positive")
     by_key: Dict[Tuple[str, str], DatasetIoStats] = {}
     for record in records:
         obj = record.data_object or FILE_METADATA_OBJECT

@@ -25,7 +25,7 @@ from repro.storage.blockstore import BlockStore
 from repro.storage.devices import StorageDevice
 from repro.storage.mount import Mount
 
-__all__ = ["SimFS", "FileStat", "OpRecord", "FsError"]
+__all__ = ["SimFS", "FileStat", "OpRecord", "FsError", "new_op_record"]
 
 
 class FsError(OSError):
@@ -66,6 +66,28 @@ class OpRecord:
     start: float
     cost: float
     device: str
+
+
+_new = object.__new__
+
+
+def new_op_record(op: str, path: str, offset: int, nbytes: int, start: float,
+                  cost: float, device: str) -> OpRecord:
+    """An :class:`OpRecord` equal to ``OpRecord(...)`` with the same
+    arguments, built without the seven frozen-field ``__setattr__`` calls
+    of the dataclass ``__init__`` (one record per logged operation).
+    Fields go into the instance's own shared-key ``__dict__`` in
+    declaration order, as in :func:`repro.vfd.tracing.new_io_record`."""
+    record = _new(OpRecord)
+    fields = record.__dict__
+    fields["op"] = op
+    fields["path"] = path
+    fields["offset"] = offset
+    fields["nbytes"] = nbytes
+    fields["start"] = start
+    fields["cost"] = cost
+    fields["device"] = device
+    return record
 
 
 @dataclass
@@ -266,7 +288,8 @@ class SimFS:
     def pread(self, fd: int, nbytes: int, offset: int) -> bytes:
         """Positional read; charges device cost and logs the operation."""
         of = self._fd(fd)
-        self._check_reachable(of.path)
+        if self._failed_prefixes:
+            self._check_reachable(of.path)
         if self.fault_injector is not None:
             self.fault_injector.on_io("read", of.path, offset, nbytes)
         data = of.store.read(offset, nbytes)
@@ -278,7 +301,8 @@ class SimFS:
         of = self._fd(fd)
         if not of.writable:
             raise FsError(f"fd {fd} not opened for writing")
-        self._check_reachable(of.path)
+        if self._failed_prefixes:
+            self._check_reachable(of.path)
         if self.fault_injector is not None:
             self.fault_injector.on_io("write", of.path, offset, len(data))
         of.store.write(offset, data)
@@ -322,24 +346,17 @@ class SimFS:
     # Accounting
     # ------------------------------------------------------------------
     def _account(self, op: str, of: _OpenFile, offset: int, nbytes: int) -> None:
-        start = self.clock.now
+        clock = self.clock
+        start = clock.now
+        device = of.device
         if op == "read":
-            cost = of.device.read_cost(of.path, offset, nbytes)
+            cost = device.read_cost(of.path, offset, nbytes)
         else:
-            cost = of.device.write_cost(of.path, offset, nbytes)
-        self.clock.advance(cost, account=self.IO_ACCOUNT)
+            cost = device.write_cost(of.path, offset, nbytes)
+        clock.advance(cost, account=self.IO_ACCOUNT)
         if self.log_ops:
-            self.op_log.append(
-                OpRecord(
-                    op=op,
-                    path=of.path,
-                    offset=offset,
-                    nbytes=nbytes,
-                    start=start,
-                    cost=cost,
-                    device=of.device.spec.name,
-                )
-            )
+            self.op_log.append(new_op_record(
+                op, of.path, offset, nbytes, start, cost, device.spec.name))
 
     def io_time(self, path: str | None = None) -> float:
         """Sum of logged POSIX operation costs, optionally for one file."""

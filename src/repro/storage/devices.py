@@ -258,43 +258,47 @@ class StorageDevice:
     # ------------------------------------------------------------------
     # Cost model
     # ------------------------------------------------------------------
+    # ``read_cost``/``write_cost`` spell the model out inline (one call per
+    # operation on the hot I/O path); both evaluate exactly
+    # ``(latency + nbytes / bandwidth [+ seek]) * contention_factor() *
+    # slowdown`` in that order, so every cost is bit-identical.
     def read_cost(self, stream: object, offset: int, nbytes: int) -> float:
         """Seconds to read ``nbytes`` at ``offset`` on ``stream``; updates counters."""
-        cost = self._op_cost(
-            stream, offset, nbytes, self.spec.read_latency, self.spec.read_bandwidth
-        )
-        self.counters.read_ops += 1
-        self.counters.read_bytes += nbytes
-        self.counters.busy_seconds += cost
+        if offset < 0 or nbytes < 0:
+            raise ValueError("offset and nbytes must be non-negative")
+        spec = self.spec
+        counters = self.counters
+        cost = spec.read_latency + nbytes / spec.read_bandwidth
+        last = self._last_end.get(stream)
+        if last is not None and last != offset:
+            cost += spec.seek_penalty
+            counters.seeks += 1
+        self._last_end[stream] = offset + nbytes
+        cost = (cost * (1.0 + spec.contention_share * (self._concurrency - 1))
+                * self._slowdown)
+        counters.read_ops += 1
+        counters.read_bytes += nbytes
+        counters.busy_seconds += cost
         return cost
 
     def write_cost(self, stream: object, offset: int, nbytes: int) -> float:
         """Seconds to write ``nbytes`` at ``offset`` on ``stream``; updates counters."""
-        cost = self._op_cost(
-            stream, offset, nbytes, self.spec.write_latency, self.spec.write_bandwidth
-        )
-        self.counters.write_ops += 1
-        self.counters.write_bytes += nbytes
-        self.counters.busy_seconds += cost
-        return cost
-
-    def _op_cost(
-        self,
-        stream: object,
-        offset: int,
-        nbytes: int,
-        latency: float,
-        bandwidth: float,
-    ) -> float:
         if offset < 0 or nbytes < 0:
             raise ValueError("offset and nbytes must be non-negative")
-        cost = latency + nbytes / bandwidth
+        spec = self.spec
+        counters = self.counters
+        cost = spec.write_latency + nbytes / spec.write_bandwidth
         last = self._last_end.get(stream)
         if last is not None and last != offset:
-            cost += self.spec.seek_penalty
-            self.counters.seeks += 1
+            cost += spec.seek_penalty
+            counters.seeks += 1
         self._last_end[stream] = offset + nbytes
-        return cost * self.contention_factor() * self._slowdown
+        cost = (cost * (1.0 + spec.contention_share * (self._concurrency - 1))
+                * self._slowdown)
+        counters.write_ops += 1
+        counters.write_bytes += nbytes
+        counters.busy_seconds += cost
+        return cost
 
     def forget_stream(self, stream: object) -> None:
         """Drop sequentiality state for a closed stream."""

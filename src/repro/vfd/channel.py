@@ -15,8 +15,7 @@ file-level metadata flushes happen with no object in scope.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 __all__ = ["VolVfdChannel"]
 
@@ -57,14 +56,9 @@ class VolVfdChannel:
             raise RuntimeError("VolVfdChannel: object stack underflow")
         self._objects.pop()
 
-    @contextmanager
-    def object_scope(self, name: str) -> Iterator[None]:
+    def object_scope(self, name: str) -> "_ObjectScope":
         """Scope all nested VFD I/O to data object ``name``."""
-        self.push_object(name)
-        try:
-            yield
-        finally:
-            self.pop_object()
+        return _ObjectScope(self, name)
 
     @property
     def depth(self) -> int:
@@ -75,3 +69,21 @@ class VolVfdChannel:
         return (
             f"VolVfdChannel(task={self._task!r}, object={self.current_object!r})"
         )
+
+
+class _ObjectScope:
+    """``with channel.object_scope(name):`` — pushes ``name`` on entry and
+    pops it on exit.  A slotted class rather than a generator context
+    manager: the VOL enters one per object operation."""
+
+    __slots__ = ("_channel", "_name")
+
+    def __init__(self, channel: VolVfdChannel, name: str) -> None:
+        self._channel = channel
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._channel.push_object(self._name)
+
+    def __exit__(self, *exc) -> None:
+        self._channel.pop_object()

@@ -29,7 +29,8 @@ from repro.simclock import SimClock
 from repro.vfd.base import IoClass, VirtualFileDriver
 from repro.vfd.channel import VolVfdChannel
 
-__all__ = ["VfdIoRecord", "FileSession", "VfdTracer", "TracingVFD", "TracerCosts"]
+__all__ = ["VfdIoRecord", "FileSession", "VfdTracer", "TracingVFD", "TracerCosts",
+           "new_io_record"]
 
 #: Account names used on the simulated clock.
 ACCESS_TRACKER_ACCOUNT = "dayu.vfd.access_tracker"
@@ -104,6 +105,43 @@ class VfdIoRecord:
         }
 
 
+_new = object.__new__
+
+
+def new_io_record(
+    task: Optional[str],
+    file: str,
+    op: str,
+    offset: int,
+    nbytes: int,
+    start: float,
+    duration: float,
+    access_type: IoClass,
+    data_object: Optional[str],
+) -> VfdIoRecord:
+    """A :class:`VfdIoRecord` equal to ``VfdIoRecord(...)`` with the same
+    arguments, built without the nine frozen-field ``__setattr__`` calls
+    of the dataclass ``__init__`` (the per-operation tracing path and the
+    trace decoders build one record per I/O operation).
+
+    Fields are stored into the instance's own ``__dict__`` in declaration
+    order, which keeps the class's shared-key dict layout: a fresh literal
+    dict would cost ~50% more memory per record.
+    """
+    record = _new(VfdIoRecord)
+    fields = record.__dict__
+    fields["task"] = task
+    fields["file"] = file
+    fields["op"] = op
+    fields["offset"] = offset
+    fields["nbytes"] = nbytes
+    fields["start"] = start
+    fields["duration"] = duration
+    fields["access_type"] = access_type
+    fields["data_object"] = data_object
+    return record
+
+
 @dataclass
 class FileSession:
     """One open→close interval of a file (Table II, parameters 1-4)."""
@@ -152,31 +190,32 @@ class FileSession:
 
     def observe(self, record: VfdIoRecord) -> None:
         """Fold one I/O record into the session statistics."""
+        offset = record.offset
+        nbytes = record.nbytes
+        end = offset + nbytes
         if record.op == "read":
             self.read_ops += 1
-            self.read_bytes += record.nbytes
+            self.read_bytes += nbytes
         else:
             self.write_ops += 1
-            self.write_bytes += record.nbytes
+            self.write_bytes += nbytes
         if record.access_type is IoClass.METADATA:
             self.metadata_ops += 1
         else:
-            if (
-                self._last_raw_end is not None
-                and self._last_raw_end == record.offset
-            ):
+            if self._last_raw_end == offset:
                 self.sequential_raw_ops += 1
             elif self.raw_ops == 0:
                 # The first raw op of a session counts as sequential: a
                 # whole-dataset scan is one op and *is* the sequential case.
                 self.sequential_raw_ops += 1
-            self._last_raw_end = record.offset + record.nbytes
+            self._last_raw_end = end
             self.raw_ops += 1
-        if self._last_end is not None and self._last_end == record.offset:
+        if self._last_end == offset:
             self.sequential_ops += 1
-        self._last_end = record.offset + record.nbytes
-        if record.data_object and record.data_object not in self.data_objects:
-            self.data_objects.append(record.data_object)
+        self._last_end = end
+        obj = record.data_object
+        if obj and obj not in self.data_objects:
+            self.data_objects.append(obj)
 
     def to_json_dict(self) -> dict:
         return {
@@ -243,26 +282,25 @@ class VfdTracer:
             self._VfdOp = VfdOp
         self.records: List[VfdIoRecord] = []
         self.sessions: List[FileSession] = []
-        self._open_sessions: Dict[str, FileSession] = {}
-        self._session_op_seen: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Session lifecycle
     # ------------------------------------------------------------------
-    def on_open(self, path: str) -> None:
+    def on_open(self, path: str) -> FileSession:
+        """Start a session for one file handle and return it.
+
+        Each handle owns its session: two handles open on the same path
+        in one task keep separate lifetimes, op counts and skip windows.
+        """
         session = FileSession(
             task=self.channel.current_task, file=path, open_time=self.clock.now
         )
-        self._open_sessions[path] = session
-        self._session_op_seen[path] = 0
         self.sessions.append(session)
         self.clock.advance(self.costs.per_session_event, ACCESS_TRACKER_ACCOUNT)
+        return session
 
-    def on_close(self, path: str) -> None:
-        session = self._open_sessions.pop(path, None)
-        if session is not None:
-            session.close_time = self.clock.now
-        self._session_op_seen.pop(path, None)
+    def on_close(self, session: FileSession) -> None:
+        session.close_time = self.clock.now
         self.clock.advance(self.costs.per_session_event, ACCESS_TRACKER_ACCOUNT)
 
     # ------------------------------------------------------------------
@@ -270,7 +308,7 @@ class VfdTracer:
     # ------------------------------------------------------------------
     def on_io(
         self,
-        path: str,
+        session: FileSession,
         op: str,
         offset: int,
         nbytes: int,
@@ -278,31 +316,26 @@ class VfdTracer:
         duration: float,
         io_class: IoClass,
     ) -> None:
-        record = VfdIoRecord(
-            task=self.channel.current_task,
-            file=path,
-            op=op,
-            offset=offset,
-            nbytes=nbytes,
-            start=start,
-            duration=duration,
-            access_type=io_class,
-            data_object=self.channel.current_object,
+        channel = self.channel
+        record = new_io_record(
+            channel.current_task, session.file, op, offset, nbytes, start,
+            duration, io_class, channel.current_object,
         )
-        session = self._open_sessions.get(path)
-        if session is not None:
-            session.observe(record)
-        seen = self._session_op_seen.get(path, 0)
-        self._session_op_seen[path] = seen + 1
-        cost = self.costs.per_io_record + len(self.records) * self.costs.per_record_growth
-        recorded = self.trace_io and seen >= self.skip_ops
+        session.observe(record)
+        records = self.records
+        costs = self.costs
+        cost = costs.per_io_record + len(records) * costs.per_record_growth
+        # The session's op count (this op included) is the skip window's
+        # cursor: the first ``skip_ops`` operations of a session are dropped.
+        recorded = (self.trace_io
+                    and session.read_ops + session.write_ops > self.skip_ops)
         if recorded:
-            self.records.append(record)
+            records.append(record)
         self.clock.advance(cost, ACCESS_TRACKER_ACCOUNT)
         if self.emit is not None:
             self.emit(self._VfdOp(
-                time=self.clock.now, task=record.task, file=path, op=op,
-                offset=offset, nbytes=nbytes, start=start,
+                time=self.clock.now, task=record.task, file=session.file,
+                op=op, offset=offset, nbytes=nbytes, start=start,
                 duration=duration, io_class=io_class,
                 data_object=record.data_object, recorded=recorded))
 
@@ -350,8 +383,10 @@ class TracingVFD(VirtualFileDriver):
     def __init__(self, inner: VirtualFileDriver, tracer: VfdTracer) -> None:
         self._inner = inner
         self._tracer = tracer
+        self._clock = tracer.clock
         self._closed = False
-        tracer.on_open(inner.path)
+        #: This handle's open→close session (see :meth:`VfdTracer.on_open`).
+        self._session = tracer.on_open(inner.path)
 
     @property
     def path(self) -> str:
@@ -362,21 +397,19 @@ class TracingVFD(VirtualFileDriver):
         return self._inner
 
     def read(self, addr: int, nbytes: int, io_class: IoClass) -> bytes:
-        start = self._tracer.clock.now
+        clock = self._clock
+        start = clock.now
         data = self._inner.read(addr, nbytes, io_class)
-        self._tracer.on_io(
-            self.path, "read", addr, len(data), start,
-            self._tracer.clock.now - start, io_class,
-        )
+        self._tracer.on_io(self._session, "read", addr, len(data), start,
+                           clock.now - start, io_class)
         return data
 
     def write(self, addr: int, data: bytes, io_class: IoClass) -> None:
-        start = self._tracer.clock.now
+        clock = self._clock
+        start = clock.now
         self._inner.write(addr, data, io_class)
-        self._tracer.on_io(
-            self.path, "write", addr, len(data), start,
-            self._tracer.clock.now - start, io_class,
-        )
+        self._tracer.on_io(self._session, "write", addr, len(data), start,
+                           clock.now - start, io_class)
 
     def get_eof(self) -> int:
         return self._inner.get_eof()
@@ -387,5 +420,5 @@ class TracingVFD(VirtualFileDriver):
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            self._tracer.on_close(self.path)
+            self._tracer.on_close(self._session)
             self._inner.close()
