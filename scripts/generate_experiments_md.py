@@ -216,11 +216,11 @@ def main() -> None:
         "(`repro.mapper.columnar`, `dayu-compact`).  Each workload's\n"
         "per-task row traces are compacted into one footer-indexed\n"
         "`.dayuc` run file; the columnar pass mmaps it, builds FTG+SDG\n"
-        "from the stats column chunks and lints with page-stat predicate\n"
-        "pushdown.  Graphs and lint fingerprints must be byte-identical\n"
-        "to the row path on every workload (the CI `columnar-smoke`\n"
-        "gate); `BENCH_columnar.json` holds the synthetic ~1k-node gate\n"
-        "(>=10x vs. the seed JSON pipeline).")
+        "from the stats column chunks, then loads its profiles and lints\n"
+        "them exactly as the row path does.  Graphs and lint reports must\n"
+        "be byte-identical to the row path on every workload (the CI\n"
+        "`columnar-smoke` gate); `BENCH_columnar.json` holds the\n"
+        "synthetic ~1k-node gate (>=10x vs. the seed JSON pipeline).")
     sections.append(
         static_cost.to_markdown() + "\n\n" + plan_validation.to_markdown()
         + "\n\n"

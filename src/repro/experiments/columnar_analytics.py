@@ -16,7 +16,7 @@ Two harnesses quantify that:
   three.  This is the number gated by ``BENCH_columnar.json``.
 - :func:`run_workload_table` — every bundled workload, traced for real,
   then analyzed row-wise and columnar-wise; also checks that the lint
-  fingerprint set is byte-identical between the two inputs.  This feeds
+  report is byte-identical between the two inputs.  This feeds
   the EXPERIMENTS.md row-vs-columnar table.
 
 Both measure *real* wall-clock time (the Analyzer is offline tooling).
@@ -183,7 +183,7 @@ def run_workload_table(
 
     For each workload: trace it, compact the row traces into one run
     file, build FTG+SDG and lint both ways, and record wall times plus
-    whether graphs and lint fingerprints came out byte-identical.
+    whether graphs and lint reports came out byte-identical.
     """
     from repro.workloads.registry import WORKLOADS
 
@@ -197,13 +197,15 @@ def run_workload_table(
         notes=["Row path: serial load of per-task traces with per-op "
                "records + graph build + lint.  Columnar path: mmap one "
                "compacted run file, build graphs from stats columns, "
-               "lint with page-stat pushdown."],
+               "load its profiles and lint them like the row path."],
     )
     try:
         for name in names:
             rows_dir = base / name / "rows"
             rows_dir.mkdir(parents=True, exist_ok=True)
-            run_path = base / name / "run.dayuc"
+            run_dir = base / name / "run"
+            run_dir.mkdir(exist_ok=True)
+            run_path = run_dir / "run.dayuc"
             n = _trace_workload(name, rows_dir)
 
             analyzer = ParallelAnalyzer(max_workers=1, with_io_records=True)
@@ -222,13 +224,12 @@ def run_workload_table(
                 groups = list(reader)
                 col_ftg = build_graph_from_groups("ftg", groups)
                 col_sdg = build_graph_from_groups("sdg", groups)
-            col_lint = analyzer.lint_run(str(run_path))
+            col_lint = analyzer.lint(analyzer.load(str(run_dir)))
             col_seconds = time.perf_counter() - t0
 
             graphs_ok = (graph_to_json(row_ftg) == graph_to_json(col_ftg)
                          and graph_to_json(row_sdg) == graph_to_json(col_sdg))
-            lint_ok = ({f.fingerprint for f in row_lint.findings}
-                       == {f.fingerprint for f in col_lint.findings})
+            lint_ok = row_lint.to_json() == col_lint.to_json()
             table.add(
                 workload=name,
                 tasks=n,

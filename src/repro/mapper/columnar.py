@@ -13,7 +13,6 @@ index, parquet-style::
     column chunk bytes ...        -- concatenated, addressed by the footer
     footer                        -- string dictionary + per-group,
                                      per-family, per-column chunk index
-                                     with page statistics
     u64 footer length
     MAGIC "DYC1"
 
@@ -39,14 +38,10 @@ Strings are interned once per *file* in a shared dictionary (id 0 is
 ``None``), so a compacted run stores each task/file/dataset name exactly
 once no matter how many groups mention it.
 
-**Page statistics.**  Every chunk's footer entry carries summary stats —
-``min``/``max``/``sum``/``count`` for numeric columns, the distinct id
-set for dictionary columns (capped; an overflow marker means "unknown")
-— enabling predicate pushdown: :class:`GroupStatsView` /
-:class:`RunStatsView` answer "could any row in this chunk satisfy rule
-X?" without decoding the chunk, which is how
-:meth:`~repro.analyzer.parallel.ParallelAnalyzer.lint_run` skips whole
-rule×chunk evaluations (see ``LintRule.pushdown``).
+**Stat byte.**  Each chunk's footer entry ends with a page-stat kind
+byte.  The writer always emits ``_STAT_NONE``; older writers stored
+``min``/``max``/``sum`` or distinct-id summaries there, which the reader
+parses only to skip them, so files carrying them still open.
 
 **Bulk aggregation.**  :func:`build_graph_from_groups` feeds
 :meth:`~repro.analyzer.graphs.GraphBuilder.add_stats_columns` straight
@@ -58,13 +53,12 @@ from __future__ import annotations
 
 import mmap
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import BytesIO
 from itertools import accumulate
 from typing import (
     BinaryIO,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -93,9 +87,6 @@ __all__ = [
     "RunReader",
     "GroupReader",
     "StatsColumns",
-    "ColumnStats",
-    "GroupStatsView",
-    "RunStatsView",
     "build_graph_from_groups",
 ]
 
@@ -115,6 +106,8 @@ _ENC_OPTF64 = 4
 _ENC_BYTES = 5
 
 # -- page-stat kinds (footer `stat` byte) ------------------------------
+# Only _STAT_NONE is written; the others are read (and skipped) so files
+# from writers that stored page statistics still open.
 _STAT_NONE = 0
 _STAT_INT = 1
 _STAT_FLOAT = 2
@@ -122,15 +115,12 @@ _STAT_OPTFLOAT = 3
 _STAT_DISTINCT = 4
 _STAT_DISTINCT_OVERFLOW = 5
 
-#: Distinct-set page stats above this cardinality degrade to "unknown".
-_DISTINCT_CAP = 512
-
 _FIXED_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 
 #: Column layout per field family.  Order is the wire order; the kind
-#: selects extraction, encoding, and page-stat flavor.  ``*_flat``
-#: columns hold the concatenation of per-row variable-length lists whose
-#: lengths live in the preceding ``*_len`` column.
+#: selects extraction and encoding.  ``*_flat`` columns hold the
+#: concatenation of per-row variable-length lists whose lengths live in
+#: the preceding ``*_len`` column.
 _COLUMNS: Dict[str, Tuple[Tuple[str, str], ...]] = {
     "objprofs": (
         ("task", "strid"),
@@ -293,8 +283,11 @@ def _decode_ints(enc: int, buf: bytes, count: int) -> List[int]:
     if count == 0:
         return []
     if enc == _ENC_FIXED:
-        w = buf[0]
-        return np.frombuffer(buf, dtype=_FIXED_DTYPES[w], count=count,
+        dtype = _FIXED_DTYPES.get(buf[0])
+        if dtype is None:
+            raise ValueError(
+                f"corrupt columnar trace: fixed int width {buf[0]}")
+        return np.frombuffer(buf, dtype=dtype, count=count,
                              offset=1).tolist()
     if enc == _ENC_VARINT:
         out, pos = [], 0
@@ -321,107 +314,37 @@ def _decode_optf64(buf: bytes, count: int) -> List[Optional[float]]:
     values = iter(np.frombuffer(buf, dtype="<f8",
                                 offset=nbits,
                                 count=(len(buf) - nbits) // 8).tolist())
-    return [next(values) if bitmap[i >> 3] & (1 << (i & 7)) else None
-            for i in range(count)]
+    try:
+        return [next(values) if bitmap[i >> 3] & (1 << (i & 7)) else None
+                for i in range(count)]
+    except StopIteration:
+        raise ValueError("corrupt columnar trace: presence bitmap claims "
+                         "more values than the chunk holds") from None
 
 
-# ----------------------------------------------------------------------
-# Page statistics
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ColumnStats:
-    """Footer page statistics of one column chunk.
-
-    ``kind`` selects which fields are meaningful; :class:`GroupStatsView`
-    wraps the access so predicates never branch on the kind themselves.
-    """
-
-    kind: int
-    count: int = 0
-    imin: int = 0
-    imax: int = 0
-    isum: int = 0
-    fmin: float = 0.0
-    fmax: float = 0.0
-    fsum: float = 0.0
-    n_present: int = 0
-    distinct_ids: Optional[Tuple[int, ...]] = None
-
-
-def _stats_for(kind: str, values) -> ColumnStats:
-    n = len(values)
-    if kind.startswith("strid"):
-        ids = sorted(set(values))
-        if len(ids) > _DISTINCT_CAP:
-            return ColumnStats(kind=_STAT_DISTINCT_OVERFLOW, count=n)
-        return ColumnStats(kind=_STAT_DISTINCT, count=n,
-                           distinct_ids=tuple(ids))
-    if kind in ("int", "int_flat", "int_delta", "byte"):
-        if not n:
-            return ColumnStats(kind=_STAT_INT, count=0)
-        return ColumnStats(kind=_STAT_INT, count=n, imin=min(values),
-                           imax=max(values), isum=sum(values))
-    if kind == "f64":
-        if not n:
-            return ColumnStats(kind=_STAT_FLOAT, count=0)
-        return ColumnStats(kind=_STAT_FLOAT, count=n, fmin=min(values),
-                           fmax=max(values), fsum=float(sum(values)))
-    if kind == "optf64":
-        present = [v for v in values if v is not None]
-        if not present:
-            return ColumnStats(kind=_STAT_OPTFLOAT, count=n, n_present=0)
-        return ColumnStats(kind=_STAT_OPTFLOAT, count=n,
-                           n_present=len(present), fmin=min(present),
-                           fmax=max(present), fsum=float(sum(present)))
-    raise ValueError(f"unknown column kind {kind!r}")
-
-
-def _write_stats(out: bytearray, s: ColumnStats) -> None:
-    out.append(s.kind)
-    if s.kind == _STAT_INT:
-        _vu(out, _zigzag(s.imin))
-        _vu(out, _zigzag(s.imax))
-        _vu(out, s.isum)
-    elif s.kind == _STAT_FLOAT:
-        out += _F64.pack(s.fmin) + _F64.pack(s.fmax) + _F64.pack(s.fsum)
-    elif s.kind == _STAT_OPTFLOAT:
-        _vu(out, s.n_present)
-        out += _F64.pack(s.fmin) + _F64.pack(s.fmax) + _F64.pack(s.fsum)
-    elif s.kind == _STAT_DISTINCT:
-        ids = s.distinct_ids or ()
-        _vu(out, len(ids))
-        for i in ids:
-            _vu(out, i)
-    # _STAT_NONE / _STAT_DISTINCT_OVERFLOW carry no payload.
-
-
-def _read_stats(buf, pos: int, count: int) -> Tuple[ColumnStats, int]:
+def _skip_stats(buf, pos: int) -> int:
+    """Skip one chunk's page-stat entry; return the position after it."""
     kind = buf[pos]
     pos += 1
     if kind == _STAT_INT:
-        zmin, pos = _read_vu(buf, pos)
-        zmax, pos = _read_vu(buf, pos)
-        isum, pos = _read_vu(buf, pos)
-        return ColumnStats(kind=kind, count=count, imin=_unzigzag(zmin),
-                           imax=_unzigzag(zmax), isum=isum), pos
+        for _ in range(3):  # zigzag min, zigzag max, sum
+            _, pos = _read_vu(buf, pos)
+        return pos
+    if kind == _STAT_OPTFLOAT:
+        _, pos = _read_vu(buf, pos)  # present-value count
     if kind in (_STAT_FLOAT, _STAT_OPTFLOAT):
-        n_present = count
-        if kind == _STAT_OPTFLOAT:
-            n_present, pos = _read_vu(buf, pos)
-        fmin = _F64.unpack_from(buf, pos)[0]
-        fmax = _F64.unpack_from(buf, pos + 8)[0]
-        fsum = _F64.unpack_from(buf, pos + 16)[0]
-        return ColumnStats(kind=kind, count=count, n_present=n_present,
-                           fmin=fmin, fmax=fmax, fsum=fsum), pos + 24
+        pos += 24  # f64 min, max, sum
+        if pos > len(buf):
+            raise ValueError("corrupt columnar trace: truncated footer")
+        return pos
     if kind == _STAT_DISTINCT:
         n, pos = _read_vu(buf, pos)
-        ids = []
         for _ in range(n):
-            i, pos = _read_vu(buf, pos)
-            ids.append(i)
-        return ColumnStats(kind=kind, count=count,
-                           distinct_ids=tuple(ids)), pos
-    return ColumnStats(kind=kind, count=count), pos
+            _, pos = _read_vu(buf, pos)
+        return pos
+    if kind in (_STAT_NONE, _STAT_DISTINCT_OVERFLOW):
+        return pos
+    raise ValueError(f"corrupt columnar trace: page-stat kind {kind}")
 
 
 # ----------------------------------------------------------------------
@@ -433,7 +356,6 @@ class _ColumnMeta:
     offset: int
     length: int
     count: int
-    stats: ColumnStats
 
 
 @dataclass
@@ -479,8 +401,7 @@ class _RunWriter:
         else:
             raise ValueError(f"unknown column kind {kind!r}")
         meta = _ColumnMeta(enc=enc, offset=self._payload_pos,
-                           length=len(payload), count=len(values),
-                           stats=_stats_for(kind, values))
+                           length=len(payload), count=len(values))
         self._payload.write(payload)
         self._payload_pos += len(payload)
         return meta
@@ -615,7 +536,7 @@ class _RunWriter:
                     _vu(out, m.offset)
                     _vu(out, m.length)
                     _vu(out, m.count)
-                    _write_stats(out, m.stats)
+                    out.append(_STAT_NONE)
         return bytes(out)
 
     def write(self, fp: BinaryIO) -> None:
@@ -997,10 +918,10 @@ class RunReader:
                         offset, pos = _read_vu(buf, pos)
                         length, pos = _read_vu(buf, pos)
                         count, pos = _read_vu(buf, pos)
-                        stats, pos = _read_stats(buf, pos, count)
+                        pos = _skip_stats(buf, pos)
                         metas.append(_ColumnMeta(
                             enc=enc, offset=offset, length=length,
-                            count=count, stats=stats))
+                            count=count))
                     families[family] = (n_rows, metas)
                 self.groups.append(GroupReader(self, _GroupMeta(
                     task_id=task_id, start=start, end=end,
@@ -1058,64 +979,3 @@ def build_graph_from_groups(
             g.task or "", g.start, g.end,
             g.stats_columns(with_region_runs=builder.with_regions))
     return builder.build(copy=False)
-
-
-# ----------------------------------------------------------------------
-# Predicate-pushdown views
-# ----------------------------------------------------------------------
-class GroupStatsView:
-    """Page-stats oracle over one group, for ``LintRule.pushdown``.
-
-    Every accessor answers from the footer alone — no column decode.
-    ``None`` always means "unknown" (column absent, stats overflowed),
-    which predicates must treat as "might match".
-    """
-
-    def __init__(self, group: GroupReader) -> None:
-        self._group = group
-
-    @property
-    def task(self) -> Optional[str]:
-        return self._group.task
-
-    @property
-    def start(self) -> float:
-        """Group time-span start — footer metadata, no column decode."""
-        return self._group.start
-
-    @property
-    def end(self) -> float:
-        """Group time-span end — footer metadata, no column decode."""
-        return self._group.end
-
-    def _stats(self, family: str, column: str) -> Optional[ColumnStats]:
-        meta = self._group.column_meta(family, column)
-        return meta.stats if meta is not None else None
-
-    def int_max(self, family: str, column: str) -> Optional[int]:
-        s = self._stats(family, column)
-        return s.imax if s is not None and s.kind == _STAT_INT else None
-
-    def int_sum(self, family: str, column: str) -> Optional[int]:
-        s = self._stats(family, column)
-        return s.isum if s is not None and s.kind == _STAT_INT else None
-
-    def distinct(self, family: str, column: str) -> Optional[FrozenSet[str]]:
-        """Distinct non-null strings of a dictionary column (or None
-        when unknown)."""
-        s = self._stats(family, column)
-        if s is None or s.kind != _STAT_DISTINCT:
-            return None
-        strings = self._group._reader.strings
-        return frozenset(strings[i] for i in s.distinct_ids or () if i)
-
-
-@dataclass
-class RunStatsView:
-    """Whole-run pushdown oracle: the per-group views of every chunk."""
-
-    groups: List[GroupStatsView]
-
-    @classmethod
-    def over(cls, groups: Sequence[GroupReader]) -> "RunStatsView":
-        return cls(groups=[GroupStatsView(g) for g in groups])

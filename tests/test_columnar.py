@@ -1,9 +1,12 @@
-"""Columnar trace format: fuzzed round-trips, page-stat pushdown, bulk
-graph builds, format sniffing, run compaction, and the --jobs 1 inline
+"""Columnar trace format: fuzzed round-trips, typed errors for corrupt
+chunks, files carrying page statistics, row ≡ columnar lint, bulk graph
+builds, format sniffing, run compaction, and the --jobs 1 inline
 guarantee."""
 
 import json
 import random
+import struct
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +15,7 @@ from repro.analyzer.parallel import ParallelAnalyzer as _PA
 from repro.mapper import codec, columnar
 from repro.mapper.columnar import (
     COLUMNAR_MAGIC,
-    GroupStatsView,
     RunReader,
-    RunStatsView,
     build_graph_from_groups,
     compact_profiles,
     decode_columnar,
@@ -22,6 +23,7 @@ from repro.mapper.columnar import (
     encode_columnar,
     encode_run,
 )
+from repro.lint import LintConfig
 from repro.mapper.mapper import TaskProfile
 from repro.mapper.persist import (
     load_profiles_path,
@@ -214,6 +216,91 @@ class TestFuzzRoundTrip:
             RunReader.from_bytes(blob[:-20] + b"\x00" * 16 + COLUMNAR_MAGIC)
 
 
+class TestCorruptChunks:
+    """Corrupt chunks and footers fail with the typed ``ValueError``."""
+
+    def _group(self, blob):
+        return RunReader.from_bytes(bytes(blob)).groups[0]
+
+    def test_bad_fixed_width(self):
+        blob = bytearray(encode_columnar(make_profile()))
+        meta = self._group(blob)._meta.families["objprofs"][1][
+            columnar._COLUMN_INDEX["objprofs"]["open_count"]]
+        assert meta.enc == columnar._ENC_FIXED
+        blob[meta.offset] = 3  # widths are 1/2/4/8
+        with pytest.raises(ValueError, match="corrupt columnar trace"):
+            self._group(blob).column("objprofs", "open_count")
+        with pytest.raises(ValueError, match="corrupt columnar trace"):
+            decode_run(bytes(blob))
+
+    def test_presence_bitmap_overclaims(self):
+        # Eight rows flagged present, one value stored.
+        buf = b"\xff" + struct.pack("<d", 1.5)
+        with pytest.raises(ValueError, match="corrupt columnar trace"):
+            columnar._decode_optf64(buf, 8)
+        assert columnar._decode_optf64(b"\x01" + buf[1:], 8) == \
+            [1.5] + [None] * 7
+
+    def test_unknown_stat_kind(self):
+        blob = bytearray(encode_columnar(make_profile()))
+        # The footer ends with the stat byte of the last column chunk.
+        assert blob[-13] == columnar._STAT_NONE
+        blob[-13] = 9
+        with pytest.raises(ValueError, match="corrupt columnar trace"):
+            RunReader.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("entry,size", [
+        (b"\x00", 1),
+        (b"\x01\x03\x04\x80\x01", 5),       # int: min, max, sum
+        (b"\x02" + b"\x00" * 24, 25),            # float: min, max, sum
+        (b"\x03\x02" + b"\x00" * 24, 26),        # optfloat: n + 3 f64
+        (b"\x04\x02\x01\x90\x01", 5),          # distinct ids
+        (b"\x05", 1),                           # distinct overflow
+    ])
+    def test_stat_entries_skipped(self, entry, size):
+        assert columnar._skip_stats(entry + b"\xee", 0) == size
+
+
+#: ``ddmd --scale 0.05`` compacted by a writer that stored page statistics
+#: in every footer entry (INT, FLOAT, OPTFLOAT and DISTINCT kinds).
+PAGESTAT_RUN = Path(__file__).parent / "data" / "ddmd-dyc1-pagestats"
+
+
+class TestPageStatFiles:
+    @pytest.fixture(scope="class")
+    def row_traces(self, tmp_path_factory):
+        from repro.cli import run_main
+
+        out = tmp_path_factory.mktemp("ddmd-rows")
+        assert run_main(["ddmd", "--out", str(out), "--scale", "0.05"]) == 0
+        return out
+
+    def test_loads_to_identical_profiles(self, row_traces):
+        analyzer = ParallelAnalyzer(max_workers=1, with_io_records=True)
+        row = analyzer.load(str(row_traces))
+        col = analyzer.load(str(PAGESTAT_RUN))
+        assert [p.task for p in col] == [p.task for p in row]
+        for a, b in zip(row, col):
+            assert_profiles_equal(a, b)
+
+    def test_lints_identically(self, row_traces):
+        analyzer = ParallelAnalyzer(max_workers=1, with_io_records=True)
+        config = LintConfig(enable=("DY*",))
+        row = analyzer.lint(analyzer.load(str(row_traces)), config)
+        col = analyzer.lint(analyzer.load(str(PAGESTAT_RUN)), config)
+        assert row.to_json() == col.to_json()
+
+    def test_rewrite_drops_page_stats(self, tmp_path):
+        with RunReader.open(str(PAGESTAT_RUN / "run.dayuc")) as reader:
+            profiles = reader.profiles()
+        compact_profiles(profiles, tmp_path / "run.dayuc")
+        old = (PAGESTAT_RUN / "run.dayuc").stat().st_size
+        assert (tmp_path / "run.dayuc").stat().st_size < old
+        for a, b in zip(profiles, decode_run(
+                (tmp_path / "run.dayuc").read_bytes())):
+            assert_profiles_equal(a, b)
+
+
 class TestBulkGraphs:
     @pytest.mark.parametrize("seed", (7, 77))
     def test_byte_identical_graphs(self, seed):
@@ -244,102 +331,32 @@ class TestBulkGraphs:
         assert graph_to_json(g) == graph_to_json(serial)
 
 
-class TestPageStats:
-    def test_view_matches_columns(self):
-        rng = random.Random(42)
-        profiles = [random_profile(rng, i) for i in range(8)]
-        reader = RunReader.from_bytes(encode_run(profiles))
-        for group in reader:
-            view = GroupStatsView(group)
-            reads = group.column("stats", "reads")
-            if reads:
-                assert view.int_max("stats", "reads") == max(reads)
-                assert view.int_sum("stats", "reads") == sum(reads)
-            files = view.distinct("stats", "file")
-            if files is not None:
-                assert files == frozenset(
-                    group.strid_column("stats", "file"))
-
-    def test_distinct_overflow_returns_none(self):
-        task = "many"
-        stats = [DatasetIoStats(
-            task=task, file=f"/pfs/f{i:04d}.h5", data_object="/d")
-            for i in range(columnar._DISTINCT_CAP + 1)]
-        p = TaskProfile(task=task, span=TimeSpan(0.0, 1.0),
-                        files=sorted({s.file for s in stats}),
-                        object_profiles=[], file_sessions=[], io_records=[],
-                        dataset_stats=stats)
-        reader = RunReader.from_bytes(encode_columnar(p))
-        view = GroupStatsView(reader.groups[0])
-        assert view.distinct("stats", "file") is None  # unknown, not wrong
-
-    def test_run_view_spans_groups(self):
-        profiles = [make_profile("t0"), make_profile("t1")]
-        reader = RunReader.from_bytes(encode_run(profiles))
-        view = RunStatsView.over(reader.groups)
-        assert len(view.groups) == 2
-
-
 class TestPushdownLint:
+    """Row ≡ columnar lint: a compacted run directory, loaded and linted
+    like any other trace directory, reports exactly what the per-task
+    profiles it was compacted from report."""
+
     def _row_and_columnar_reports(self, profiles, tmp_path, **kw):
         analyzer = ParallelAnalyzer(max_workers=1, **kw)
         row = analyzer.lint(profiles)
-        run = tmp_path / "run.dayuc"
-        compact_profiles(profiles, run)
-        stats = {}
-        col = analyzer.lint_run(str(run), stats_out=stats)
-        return row, col, stats
+        compact_profiles(profiles, tmp_path / "run.dayuc")
+        loaded = analyzer.load(str(tmp_path))
+        assert len(loaded) == len(profiles)
+        return row, analyzer.lint(loaded)
 
     def test_parity_on_handbuilt(self, tmp_path):
         profiles = [make_profile("t0"), make_profile("t1")]
-        row, col, stats = self._row_and_columnar_reports(
+        row, col = self._row_and_columnar_reports(
             profiles, tmp_path, with_io_records=True)
-        assert {f.fingerprint for f in row.findings} == \
-            {f.fingerprint for f in col.findings}
         assert row.to_json() == col.to_json()
-        assert stats["n_groups"] == 2
 
     @pytest.mark.parametrize("seed", (5, 55))
     def test_parity_on_fuzzed(self, seed, tmp_path):
         rng = random.Random(seed)
         profiles = [random_profile(rng, i) for i in range(10)]
-        row, col, stats = self._row_and_columnar_reports(
+        row, col = self._row_and_columnar_reports(
             profiles, tmp_path, with_io_records=True)
-        assert {f.fingerprint for f in row.findings} == \
-            {f.fingerprint for f in col.findings}
-        assert stats["rules_evaluated"] + stats["rules_skipped"] > 0
-
-    def test_pushdown_skips_on_quiet_traces(self, tmp_path):
-        # Profiles that never write and share no files: the write-hazard
-        # page predicates prove those rules can't fire.
-        profiles = []
-        for i in range(3):
-            s = DatasetIoStats(
-                task=f"t{i}", file=f"/pfs/only{i}.h5", data_object="/d",
-                reads=1, bytes_read=10, data_ops=1, data_bytes=10)
-            profiles.append(TaskProfile(
-                task=f"t{i}", span=TimeSpan(float(i), i + 1.0),
-                files=[s.file], object_profiles=[], file_sessions=[],
-                io_records=[], dataset_stats=[s]))
-        _row, _col, stats = self._row_and_columnar_reports(profiles, tmp_path)
-        assert stats["rules_skipped"] > 0
-
-    def test_rule_without_pushdown_never_skipped(self):
-        from repro.lint.rules import all_rules
-
-        no_pd = [r for r in all_rules()
-                 if r.scope in ("profile", "workflow") and r.pushdown is None]
-        # Sanity: such rules exist, and the engine treats None as
-        # "unknown — must run" (lint_run only skips when pushdown says so).
-        assert no_pd
-
-    def test_pushdown_rejects_non_lintable_scope(self):
-        from repro.lint.rules import Severity, rule
-
-        with pytest.raises(ValueError):
-            rule(code="DY999", name="bad", description="x",
-                 severity=Severity.WARNING, scope="static",
-                 pushdown=lambda v, c: True)(lambda *a: [])
+        assert row.to_json() == col.to_json()
 
 
 class TestSniffingAndLoading:

@@ -14,8 +14,8 @@ and therefore fuzzable.  The seeded property tests here pin them down:
 
 Around them: the perf-hazards ground truth is convicted by every DY60x
 rule pre-run, every other bundled workload stays DY60x-clean, the DY65x
-drift rules fire exactly when the prediction is stale, the columnar
-``diff_run`` path is byte-identical to the row path, and solved plans
+drift rules fire exactly when the prediction is stale, drift over a
+compacted columnar run is byte-identical to the row path, and solved plans
 round-trip and beat the naive placement when executed.
 """
 
@@ -264,15 +264,15 @@ def test_diff_run_byte_identical_to_row_path(tmp_path, perf_profiles):
         row.findings + cost_findings(cctx, config, perf_profiles),
         key=Finding.sort_key)
 
-    analyzer = ParallelAnalyzer(max_workers=1)
-    stats = {}
-    col = analyzer.diff_run(str(tmp_path), wc.effective(), config,
-                            stats_out=stats, cost=cctx)
+    loaded = ParallelAnalyzer(max_workers=1).load(str(tmp_path))
+    assert len(loaded) == len(perf_profiles)
+    col = diff_profiles(loaded, wc.effective(), config)
+    col.findings = sorted(
+        col.findings + cost_findings(cctx, config, loaded),
+        key=Finding.sort_key)
     assert col.to_json() == row.to_json()
-    assert stats["n_groups"] == len(perf_profiles)
-    # The traces match the prediction, so the exact footer predicates
-    # must have cleared both DY65x rules without decoding columns.
-    assert stats["rules_skipped"] == 2
+    # The traces match the prediction: no DY65x drift either way.
+    assert not {"DY651", "DY652", "DY653"} & {f.code for f in col.findings}
 
 
 def test_diff_run_keeps_drift_when_prediction_stale(tmp_path,
@@ -285,12 +285,11 @@ def test_diff_run_keeps_drift_when_prediction_stale(tmp_path,
     workflow, _ = build_workload("perf-hazards", 1.0)
     wc = extract_workflow_contracts(workflow)
     cctx = build_cost_context(workflow, SPEC, contracts=wc)
-    stats = {}
-    col = ParallelAnalyzer(max_workers=1).diff_run(
-        str(tmp_path), wc.effective(), LintConfig(enable=("DY6*",)),
-        stats_out=stats, cost=cctx)
-    assert stats["rules_skipped"] == 0
-    assert {"DY651", "DY652", "DY653"} <= {f.code for f in col.findings}
+    loaded = ParallelAnalyzer(max_workers=1).load(str(tmp_path))
+    findings = cost_findings(cctx, COST, loaded)
+    assert {"DY651", "DY652", "DY653"} <= {f.code for f in findings}
+    assert [f.to_json_dict() for f in findings] == \
+        [f.to_json_dict() for f in cost_findings(cctx, COST, perf_profiles)]
 
 
 # ----------------------------------------------------------------------
@@ -367,9 +366,6 @@ def test_cost_flag_usage_errors():
     # --cost-out without --cost.
     assert _exits(lint_main, ["--static", "perf-hazards",
                               "--cost-out", "x.json"]) == 2
-    # --pushdown still refuses --static (but composes with --diff).
-    assert _exits(lint_main, ["--static", "perf-hazards",
-                              "--pushdown"]) == 2
 
 
 def test_lint_cli_static_cost_convicts(tmp_path, capsys):

@@ -287,6 +287,28 @@ class TestMakespan:
         # b1 does not wait for a1 (no edge between the pipelines).
         assert spans["b1"][0] < spans["a1"][1]
 
+    @pytest.mark.parametrize("workload",
+                             ["ddmd", "pyflextrkr", "arldm", "chaos"])
+    def test_stage_mode_matches_stage_at_a_time_makespan(self, workload):
+        # Same makespan up to float summation order; placement may
+        # differ, so only wall_time is pinned.
+        from repro.experiments.common import fresh_env
+        from repro.workloads.registry import build_workload
+
+        def run(event):
+            env = fresh_env(n_nodes=2)
+            workflow, prepare = build_workload(workload, 0.25)
+            if prepare is not None:
+                prepare(env.cluster)
+            runner = env.runner
+            if event:
+                runner = DataflowRunner(
+                    env.cluster, env.mapper, dependency_mode="stage",
+                    path_resolver=env.runner.path_resolver)
+            return runner.run(workflow).wall_time
+
+        assert run(event=True) == pytest.approx(run(event=False), rel=1e-9)
+
 
 # ----------------------------------------------------------------------
 # The task graph
