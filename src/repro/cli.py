@@ -4,7 +4,9 @@ Three entry points mirror the open-source tool's runtime/offline split,
 plus the optimization loop the paper performed by hand:
 
 - ``dayu-run`` — execute one of the case-study workloads under DaYu
-  profiling and save the per-task JSON profiles to a directory.
+  profiling and save the per-task profiles to a directory, in the
+  compact binary codec (``*.dayu``) unless ``--trace-format`` asks for
+  JSON or columnar.
   ``--plan`` executes a solved ``dayu-plan/v1`` placement instead of
   the default round-robin one.
 - ``dayu-analyze`` — the offline Workflow Analyzer: load saved profiles,
@@ -47,7 +49,7 @@ def run_main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dayu-run",
         description="Run a case-study workload under DaYu profiling and "
-                    "save per-task JSON trace profiles.",
+                    "save per-task trace profiles.",
     )
     parser.add_argument("workload", choices=_WORKLOADS)
     parser.add_argument("--out", default="traces",
@@ -63,10 +65,12 @@ def run_main(argv: List[str] | None = None) -> int:
                              "onto their planned tiers (see dayu-plan)")
     parser.add_argument("--trace-format",
                         choices=("json", "binary", "columnar"),
-                        default="json",
-                        help="saved profile format: JSON interchange, the "
-                             "compact binary codec, or the footer-indexed "
-                             "columnar analytics form (default json)")
+                        default="binary",
+                        help="saved profile format: the compact binary "
+                             "codec (*.dayu, default), JSON for debugging "
+                             "and interchange (*.json), or the "
+                             "footer-indexed columnar analytics form "
+                             "(*.dayuc)")
     parser.add_argument("--monitor", action="store_true",
                         help="attach the live monitor (streaming lint "
                              "alerts print as they fire; see dayu-monitor "

@@ -1,7 +1,9 @@
 """Compact binary trace codec — DaYu's on-disk trace format.
 
-JSON is the *interchange* form of a task profile: self-describing, greppable,
-and ~an order of magnitude larger than it needs to be.  This module is the
+``dayu-run`` saves every task profile in this form (``*.dayu``) unless
+``--trace-format`` asks otherwise.  JSON (``--trace-format json``) is the
+debug and *interchange* form: self-describing, greppable, and about an
+order of magnitude larger than it needs to be.  This module is the
 *storage* form the paper's Figure 9d measures: a struct-packed, string-interned
 frame stream that encodes :class:`~repro.vfd.tracing.VfdIoRecord`,
 :class:`~repro.vfd.tracing.FileSession`,
@@ -31,16 +33,21 @@ Frames:
   decoder may skip the whole block in O(1) — the core of the scale-out
   ``dayu-analyze`` load path.
 
-Encoding is streaming: the encoder emits one frame per item as it is
-produced; the decoder walks frames incrementally.  Region histograms are
-stored as coalesced page runs (``first``, ``length-1``, ``count`` with
-delta-coded starts), not per-page entries.
+Encoding is streaming: each frame depends only on the strings interned
+before it, so a tracer can emit frames as items are produced; the decoder
+walks frames in one pass.  Region histograms are stored as coalesced page
+runs (``first``, ``length-1``, ``count`` with delta-coded starts), not
+per-page entries.
+
+A malformed payload (truncated, an unknown frame tag, string id, record
+flags or ``first_raw_op`` code, a record block whose frames overrun its
+length) raises ``ValueError("corrupt trace: ...")``.  There is no
+checksum: damage that still parses decodes to different content.
 """
 
 from __future__ import annotations
 
 import struct
-from io import BytesIO
 from typing import BinaryIO, Dict, Iterable, List, Optional, Tuple
 
 from repro.vfd.base import IoClass
@@ -77,6 +84,21 @@ _T_RECORD = 0x06
 _T_RECORDS = 0x07
 
 _F64 = struct.Struct("<d")
+#: Adjacent ``f64`` pairs: a record's start/duration, a header's start/end.
+_F64X2 = struct.Struct("<dd")
+#: A present optional ``f64``: presence byte 1, then the value.
+_OPT_F64 = struct.Struct("<Bd")
+#: Encoded varints of 0..127, one byte each.
+_VU1 = tuple(bytes((n,)) for n in range(0x80))
+
+_END_TAG = _VU1[_T_END]
+_STR_TAG = _VU1[_T_STR]
+_HEADER_TAG = _VU1[_T_HEADER]
+_OBJPROF_TAG = _VU1[_T_OBJPROF]
+_SESSION_TAG = _VU1[_T_SESSION]
+_STATS_TAG = _VU1[_T_STATS]
+_RECORD_TAG = _VU1[_T_RECORD]
+_RECORDS_TAG = _VU1[_T_RECORDS]
 
 _OP_CODES = {"read": 0, "write": 1}
 _OP_NAMES = {0: "read", 1: "write"}
@@ -84,6 +106,8 @@ _IOCLASS_CODES = {IoClass.METADATA: 0, IoClass.RAW: 1}
 _IOCLASS_VALUES = {0: IoClass.METADATA, 1: IoClass.RAW}
 _RAW_OP_CODES = {None: 0, "read": 1, "write": 2}
 _RAW_OP_NAMES = {0: None, 1: "read", 2: "write"}
+_RAW = IoClass.RAW
+_METADATA = IoClass.METADATA
 
 
 def is_binary_trace(data: bytes) -> bool:
@@ -94,159 +118,131 @@ def is_binary_trace(data: bytes) -> bool:
 # ----------------------------------------------------------------------
 # Encoder
 # ----------------------------------------------------------------------
-class _FrameEncoder:
-    """Streaming frame writer with an incremental string-intern table."""
-
-    def __init__(self, sink: BinaryIO) -> None:
-        self._sink = sink
-        self._strings: Dict[str, int] = {}
-        sink.write(MAGIC)
-
-    # -- primitives ----------------------------------------------------
-    @staticmethod
-    def _vu(out: bytearray, n: int) -> None:
+def _varint(n: int) -> bytes:
+    """Unsigned LEB128 encoding of ``n``."""
+    if n < 0x80:
         if n < 0:
             raise ValueError(f"cannot varint-encode negative value {n}")
-        while True:
-            b = n & 0x7F
-            n >>= 7
-            if n:
-                out.append(b | 0x80)
-            else:
-                out.append(b)
-                return
+        return _VU1[n]
+    if n < 0x4000:
+        return bytes((n & 0x7F | 0x80, n >> 7))
+    if n < 0x200000:
+        return bytes((n & 0x7F | 0x80, n >> 7 & 0x7F | 0x80, n >> 14))
+    out = bytearray()
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
 
-    def _sid(self, out: bytearray, s: Optional[str]) -> None:
-        """Append the intern id of ``s``, emitting a STR frame on first use."""
-        if s is None:
-            out.append(0)
-            return
-        sid = self._strings.get(s)
-        if sid is None:
-            sid = len(self._strings) + 1
-            self._strings[s] = sid
-            raw = s.encode("utf-8")
-            frame = bytearray([_T_STR])
-            self._vu(frame, len(raw))
-            frame += raw
-            self._sink.write(frame)
-        self._vu(out, sid)
 
-    @staticmethod
-    def _f64(out: bytearray, x: float) -> None:
-        out += _F64.pack(x)
+def _opt_f64(x: Optional[float]) -> bytes:
+    return b"\x00" if x is None else _OPT_F64.pack(1, x)
 
-    @classmethod
-    def _opt_f64(cls, out: bytearray, x: Optional[float]) -> None:
-        if x is None:
-            out.append(0)
-        else:
-            out.append(1)
-            cls._f64(out, x)
+
+class _StringIds(dict):
+    """String -> encoded intern id (``None`` is id 0).  Looking up a new
+    string interns it: the next id, and a STR frame appended to
+    ``parts`` right away, ahead of the frame that references it."""
+
+    def __init__(self, parts: List[bytes]) -> None:
+        super().__init__({None: b"\x00"})
+        self.parts = parts
+
+    def __missing__(self, s: str) -> bytes:
+        raw = s.encode("utf-8")
+        self.parts.append(_STR_TAG + _varint(len(raw)) + raw)
+        sid = self[s] = _varint(len(self))
+        return sid
+
+
+class _FrameEncoder:
+    """Frame builder: frames accumulate in output order in :attr:`parts`."""
+
+    def __init__(self) -> None:
+        self.parts: List[bytes] = [MAGIC]
+        self._ids = _StringIds(self.parts)
 
     # -- frames --------------------------------------------------------
     def header(self, task: str, start: float, end: float,
                files: Iterable[str]) -> None:
-        out = bytearray([_T_HEADER])
-        self._sid(out, task)
-        self._f64(out, start)
-        self._f64(out, end)
         files = list(files)
-        self._vu(out, len(files))
-        for f in files:
-            self._sid(out, f)
-        self._sink.write(out)
+        ids = self._ids
+        out = [_HEADER_TAG, ids[task], _F64X2.pack(start, end),
+               _varint(len(files))]
+        out += [ids[f] for f in files]
+        self.parts.append(b"".join(out))
 
     def object_profile(self, p: DataObjectProfile) -> None:
-        out = bytearray([_T_OBJPROF])
-        self._sid(out, p.task)
-        self._sid(out, p.file)
-        self._sid(out, p.object_name)
-        self._f64(out, p.acquired)
-        self._opt_f64(out, p.released)
-        self._vu(out, p.open_count)
-        self._vu(out, len(p.shape))
-        for dim in p.shape:
-            self._vu(out, dim)
-        self._sid(out, p.dtype or None)
-        self._sid(out, p.layout or None)
-        for n in (p.nbytes, p.reads, p.writes,
-                  p.elements_read, p.elements_written):
-            self._vu(out, n)
-        self._sink.write(out)
+        ids = self._ids
+        vu = _varint
+        self.parts.append(b"".join([
+            _OBJPROF_TAG, ids[p.task], ids[p.file], ids[p.object_name],
+            _F64.pack(p.acquired), _opt_f64(p.released), vu(p.open_count),
+            vu(len(p.shape)), *map(vu, p.shape),
+            ids[p.dtype or None], ids[p.layout or None],
+            vu(p.nbytes), vu(p.reads), vu(p.writes),
+            vu(p.elements_read), vu(p.elements_written),
+        ]))
 
     def session(self, s: FileSession) -> None:
-        out = bytearray([_T_SESSION])
-        self._sid(out, s.task)
-        self._sid(out, s.file)
-        self._f64(out, s.open_time)
-        self._opt_f64(out, s.close_time)
-        for n in (s.read_ops, s.write_ops, s.read_bytes, s.write_bytes,
-                  s.sequential_ops, s.sequential_raw_ops,
-                  s.metadata_ops, s.raw_ops):
-            self._vu(out, n)
-        self._vu(out, len(s.data_objects))
-        for obj in s.data_objects:
-            self._sid(out, obj)
-        self._sink.write(out)
+        ids = self._ids
+        vu = _varint
+        out = [
+            _SESSION_TAG, ids[s.task], ids[s.file], _F64.pack(s.open_time),
+            _opt_f64(s.close_time),
+            vu(s.read_ops), vu(s.write_ops), vu(s.read_bytes),
+            vu(s.write_bytes), vu(s.sequential_ops), vu(s.sequential_raw_ops),
+            vu(s.metadata_ops), vu(s.raw_ops), vu(len(s.data_objects)),
+        ]
+        out += [ids[obj] for obj in s.data_objects]
+        self.parts.append(b"".join(out))
 
     def stats(self, s: DatasetIoStats) -> None:
-        out = bytearray([_T_STATS])
-        self._sid(out, s.task)
-        self._sid(out, s.file)
-        self._sid(out, s.data_object)
-        for n in (s.reads, s.writes, s.bytes_read, s.bytes_written,
-                  s.data_ops, s.data_bytes, s.metadata_ops, s.metadata_bytes):
-            self._vu(out, n)
-        self._f64(out, s.io_time)
-        self._opt_f64(out, s.first_start)
-        self._opt_f64(out, s.last_end)
-        out.append(_RAW_OP_CODES[s.first_raw_op])
+        ids = self._ids
+        vu = _varint
         runs = s.region_runs()
-        self._vu(out, len(runs))
+        out = [
+            _STATS_TAG, ids[s.task], ids[s.file], ids[s.data_object],
+            vu(s.reads), vu(s.writes), vu(s.bytes_read), vu(s.bytes_written),
+            vu(s.data_ops), vu(s.data_bytes), vu(s.metadata_ops),
+            vu(s.metadata_bytes), _F64.pack(s.io_time),
+            _opt_f64(s.first_start), _opt_f64(s.last_end),
+            _VU1[_RAW_OP_CODES[s.first_raw_op]], vu(len(runs)),
+        ]
         prev_end = 0
-        for i, (first, last, count) in enumerate(runs):
-            self._vu(out, first if i == 0 else first - prev_end)
-            self._vu(out, last - first)
-            self._vu(out, count)
+        for first, last, count in runs:
+            out += (vu(first - prev_end), vu(last - first), vu(count))
             prev_end = last + 1
-        self._sink.write(out)
-
-    def record(self, r: VfdIoRecord) -> None:
-        out = bytearray([_T_RECORD])
-        self._sid(out, r.task)
-        self._sid(out, r.file)
-        self._sid(out, r.data_object)
-        out.append(_OP_CODES[r.op] | (_IOCLASS_CODES[r.access_type] << 1))
-        self._vu(out, r.offset)
-        self._vu(out, r.nbytes)
-        self._f64(out, r.start)
-        self._f64(out, r.duration)
-        self._sink.write(out)
+        self.parts.append(b"".join(out))
 
     def records_block(self, records: Iterable[VfdIoRecord]) -> None:
         """Emit all per-op records behind a skippable byte-length prefix."""
-        block = BytesIO()
-        outer_sink = self._sink
-        self._sink = block
-        try:
-            for r in records:
-                self.record(r)
-        finally:
-            self._sink = outer_sink
-        payload = block.getvalue()
-        out = bytearray([_T_RECORDS])
-        self._vu(out, len(payload))
-        self._sink.write(out)
-        self._sink.write(payload)
+        parts = self.parts
+        mark = len(parts)
+        ids = self._ids
+        vu = _varint
+        pack = _F64X2.pack
+        for r in records:
+            at = r.access_type
+            flags = _OP_CODES[r.op] | (
+                2 if at is _RAW else 0 if at is _METADATA
+                else _IOCLASS_CODES[at] << 1)
+            parts += (_RECORD_TAG, ids[r.task], ids[r.file],
+                      ids[r.data_object], _VU1[flags], vu(r.offset),
+                      vu(r.nbytes), pack(r.start, r.duration))
+        size = sum(map(len, parts[mark:]))
+        parts.insert(mark, _RECORDS_TAG + vu(size))
 
-    def end(self) -> None:
-        self._sink.write(bytes([_T_END]))
+    def finish(self) -> bytes:
+        """The encoded trace: every frame so far, then END."""
+        self.parts.append(_END_TAG)
+        return b"".join(self.parts)
 
 
-def write_profile(fp: BinaryIO, profile) -> None:
-    """Stream-encode one :class:`TaskProfile` into a binary file object."""
-    enc = _FrameEncoder(fp)
+def encode_profile(profile) -> bytes:
+    """Encode one :class:`TaskProfile` to compact binary bytes."""
+    enc = _FrameEncoder()
     enc.header(profile.task, profile.span.start, profile.span.end,
                profile.files)
     for p in profile.object_profiles:
@@ -256,36 +252,30 @@ def write_profile(fp: BinaryIO, profile) -> None:
     for s in profile.dataset_stats:
         enc.stats(s)
     enc.records_block(profile.io_records)
-    enc.end()
+    return enc.finish()
 
 
-def encode_profile(profile) -> bytes:
-    """Encode one :class:`TaskProfile` to compact binary bytes."""
-    buf = BytesIO()
-    write_profile(buf, profile)
-    return buf.getvalue()
+def write_profile(fp: BinaryIO, profile) -> None:
+    """Encode one :class:`TaskProfile` into a binary file object."""
+    fp.write(encode_profile(profile))
 
 
 def encode_vfd_trace(records: Iterable[VfdIoRecord],
                      sessions: Iterable[FileSession] = ()) -> bytes:
     """Encode a standalone VFD trace (sessions + per-op records)."""
-    buf = BytesIO()
-    enc = _FrameEncoder(buf)
+    enc = _FrameEncoder()
     for s in sessions:
         enc.session(s)
     enc.records_block(records)
-    enc.end()
-    return buf.getvalue()
+    return enc.finish()
 
 
 def encode_vol_trace(profiles: Iterable[DataObjectProfile]) -> bytes:
     """Encode a standalone VOL trace (per-object semantic profiles)."""
-    buf = BytesIO()
-    enc = _FrameEncoder(buf)
+    enc = _FrameEncoder()
     for p in profiles:
         enc.object_profile(p)
-    enc.end()
-    return buf.getvalue()
+    return enc.finish()
 
 
 def vfd_trace_nbytes(records: Iterable[VfdIoRecord],
@@ -302,140 +292,181 @@ def vol_trace_nbytes(profiles: Iterable[DataObjectProfile]) -> int:
 # ----------------------------------------------------------------------
 # Decoder
 # ----------------------------------------------------------------------
-class _FrameDecoder:
-    """Incremental frame reader over an in-memory buffer."""
+# Readers take the buffer and the position of a frame's payload and
+# return ``(item, new_pos)``; STR frames and the record block only
+# return ``new_pos``.  Hot loops inline the one-byte varint case and
+# call :func:`_vu_tail` only for longer ones.  Every error here is an
+# IndexError or struct.error (the payload ends early), a KeyError (an
+# unknown string id) or a ValueError; :func:`decode_profile` reports
+# each as a ``ValueError("corrupt trace: ...")``.
+def _vu_tail(buf, pos: int, n: int) -> Tuple[int, int]:
+    """Finish a varint whose first byte ``n`` (continuation bit set) was
+    read just before ``pos``."""
+    n &= 0x7F
+    shift = 7
+    while True:
+        b = buf[pos]
+        pos += 1
+        n |= (b & 0x7F) << shift
+        if b < 0x80:
+            return n, pos
+        shift += 7
 
-    def __init__(self, buf: bytes) -> None:
-        if buf[:4] != MAGIC:
-            raise ValueError("not a DaYu binary trace (bad magic)")
-        self._buf = buf
-        self._pos = 4
-        self._strings: List[Optional[str]] = [None]
 
-    def _vu(self) -> int:
-        buf, i = self._buf, self._pos
-        shift = n = 0
-        while True:
-            b = buf[i]
-            i += 1
-            n |= (b & 0x7F) << shift
-            if not b & 0x80:
-                self._pos = i
-                return n
-            shift += 7
+def _vus(buf, pos: int, count: int) -> Tuple[List[int], int]:
+    """``count`` consecutive varints."""
+    end = pos + count
+    head = buf[pos:end]
+    if head.isascii() and len(head) == count:
+        return list(head), end  # every one is a one-byte varint
+    out = []
+    append = out.append
+    for _ in range(count):
+        n = buf[pos]
+        if n < 0x80:
+            pos += 1
+        else:
+            m = buf[pos + 1]
+            if m < 0x80:
+                n = n & 0x7F | m << 7
+                pos += 2
+            else:
+                n, pos = _vu_tail(buf, pos + 1, n)
+        append(n)
+    return out, pos
 
-    def _sid(self) -> Optional[str]:
-        return self._strings[self._vu()]
 
-    def _f64(self) -> float:
-        x = _F64.unpack_from(self._buf, self._pos)[0]
-        self._pos += 8
-        return x
+def _opt_f64_at(buf, pos: int) -> Tuple[Optional[float], int]:
+    if buf[pos]:
+        return _F64.unpack_from(buf, pos + 1)[0], pos + 9
+    return None, pos + 1
 
-    def _opt_f64(self) -> Optional[float]:
-        flag = self._buf[self._pos]
-        self._pos += 1
-        return self._f64() if flag else None
 
-    def _byte(self) -> int:
-        b = self._buf[self._pos]
-        self._pos += 1
-        return b
+def _read_str(buf, pos: int, strings: Dict[int, Optional[str]]) -> int:
+    n = buf[pos]
+    pos += 1
+    if n > 0x7F:
+        n, pos = _vu_tail(buf, pos, n)
+    end = pos + n
+    if end > len(buf):
+        raise IndexError("string runs past the payload")
+    try:
+        strings[len(strings)] = str(buf[pos:end], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"corrupt trace: string {len(strings)} is not "
+                         f"UTF-8 ({exc.reason})") from None
+    return end
 
-    def next_tag(self) -> int:
-        return self._byte()
 
-    def read_str(self) -> None:
-        n = self._vu()
-        self._strings.append(self._buf[self._pos:self._pos + n].decode("utf-8"))
-        self._pos += n
+def _read_header(buf, pos, strings):
+    (task_id, ), pos = _vus(buf, pos, 1)
+    start, end = _F64X2.unpack_from(buf, pos)
+    (n_files, ), pos = _vus(buf, pos + 16, 1)
+    ids, pos = _vus(buf, pos, n_files)
+    return (strings[task_id], start, end, [strings[i] for i in ids]), pos
 
-    def read_header(self) -> Tuple[str, float, float, List[str]]:
-        task = self._sid()
-        start = self._f64()
-        end = self._f64()
-        files = [self._sid() for _ in range(self._vu())]
-        return task, start, end, files
 
-    def read_object_profile(self) -> DataObjectProfile:
-        task = self._sid()
-        file = self._sid()
-        obj = self._sid()
-        acquired = self._f64()
-        released = self._opt_f64()
-        open_count = self._vu()
-        shape = tuple(self._vu() for _ in range(self._vu()))
-        dtype = self._sid() or ""
-        layout = self._sid() or ""
-        nbytes, reads, writes, er, ew = (self._vu() for _ in range(5))
-        return DataObjectProfile(
-            task=task, file=file, object_name=obj, acquired=acquired,
-            released=released, open_count=open_count, shape=shape,
-            dtype=dtype, layout=layout, nbytes=nbytes, reads=reads,
-            writes=writes, elements_read=er, elements_written=ew,
-        )
+def _read_object_profile(buf, pos, strings):
+    (task, file, obj), pos = _vus(buf, pos, 3)
+    acquired = _F64.unpack_from(buf, pos)[0]
+    released, pos = _opt_f64_at(buf, pos + 8)
+    (open_count, ndim), pos = _vus(buf, pos, 2)
+    rest, pos = _vus(buf, pos, ndim + 7)  # shape, dtype, layout, counters
+    return DataObjectProfile(
+        strings[task], strings[file], strings[obj], acquired, released,
+        open_count, tuple(rest[:ndim]), strings[rest[ndim]] or "",
+        strings[rest[ndim + 1]] or "", *rest[ndim + 2:]), pos
 
-    def read_session(self) -> FileSession:
-        task = self._sid()
-        file = self._sid()
-        open_time = self._f64()
-        close_time = self._opt_f64()
-        counters = [self._vu() for _ in range(8)]
-        objects = [self._sid() for _ in range(self._vu())]
-        return FileSession(
-            task=task, file=file, open_time=open_time, close_time=close_time,
-            read_ops=counters[0], write_ops=counters[1],
-            read_bytes=counters[2], write_bytes=counters[3],
-            sequential_ops=counters[4], sequential_raw_ops=counters[5],
-            metadata_ops=counters[6], raw_ops=counters[7],
-            data_objects=objects,
-        )
 
-    def read_stats(self) -> DatasetIoStats:
-        task = self._sid()
-        file = self._sid()
-        obj = self._sid()
-        counters = [self._vu() for _ in range(8)]
-        stats = DatasetIoStats(
-            task=task, file=file, data_object=obj,
-            reads=counters[0], writes=counters[1],
-            bytes_read=counters[2], bytes_written=counters[3],
-            data_ops=counters[4], data_bytes=counters[5],
-            metadata_ops=counters[6], metadata_bytes=counters[7],
-        )
-        stats.io_time = self._f64()
-        stats.first_start = self._opt_f64()
-        stats.last_end = self._opt_f64()
-        stats.first_raw_op = _RAW_OP_NAMES[self._byte()]
-        runs: List[Tuple[int, int, int]] = []
-        n_runs = self._vu()
-        pos = 0
-        for i in range(n_runs):
-            first = pos + self._vu()
-            last = first + self._vu()
-            count = self._vu()
-            runs.append((first, last, count))
-            pos = last + 1
-        stats.set_region_runs(runs)
-        return stats
+def _read_session(buf, pos, strings):
+    (task, file), pos = _vus(buf, pos, 2)
+    open_time = _F64.unpack_from(buf, pos)[0]
+    close_time, pos = _opt_f64_at(buf, pos + 8)
+    counters, pos = _vus(buf, pos, 9)
+    objects, pos = _vus(buf, pos, counters.pop())
+    return FileSession(
+        strings[task], strings[file], open_time, close_time, *counters,
+        data_objects=[strings[i] for i in objects]), pos
 
-    def read_record(self) -> VfdIoRecord:
-        task = self._sid()
-        file = self._sid()
-        obj = self._sid()
-        flags = self._byte()
-        offset = self._vu()
-        nbytes = self._vu()
-        start = self._f64()
-        duration = self._f64()
-        return new_io_record(
-            task, file, _OP_NAMES[flags & 1], offset, nbytes, start,
-            duration, _IOCLASS_VALUES[(flags >> 1) & 1], obj,
-        )
 
-    def skip_block(self) -> None:
-        n = self._vu()  # consume the length varint before offsetting
-        self._pos += n
+def _read_stats(buf, pos, strings):
+    fields, pos = _vus(buf, pos, 11)
+    io_time = _F64.unpack_from(buf, pos)[0]
+    first_start, pos = _opt_f64_at(buf, pos + 8)
+    last_end, pos = _opt_f64_at(buf, pos)
+    code = buf[pos]
+    if code > 2:
+        raise ValueError(f"corrupt trace: unknown first_raw_op code {code}")
+    stats = DatasetIoStats(
+        strings[fields[0]], strings[fields[1]], strings[fields[2]],
+        *fields[3:], io_time, first_start, last_end, _RAW_OP_NAMES[code])
+    (n_runs, ), pos = _vus(buf, pos + 1, 1)
+    deltas, pos = _vus(buf, pos, 3 * n_runs)
+    runs = []
+    first = 0
+    for i in range(0, len(deltas), 3):
+        first += deltas[i]
+        last = first + deltas[i + 1]
+        runs.append((first, last, deltas[i + 2]))
+        first = last + 1
+    stats.set_region_runs(runs)
+    return stats, pos
+
+
+def _read_records(buf, pos: int, end: int, strings, out: list) -> int:
+    """Decode the RECORD (and STR) frames of a record block."""
+    append = out.append
+    unpack_dd = _F64X2.unpack_from
+    while pos < end:
+        tag = buf[pos]
+        if tag == _T_RECORD:
+            n = buf[pos + 1]
+            pos += 2
+            if n > 0x7F:
+                n, pos = _vu_tail(buf, pos, n)
+            task = strings[n]
+            n = buf[pos]
+            pos += 1
+            if n > 0x7F:
+                n, pos = _vu_tail(buf, pos, n)
+            file = strings[n]
+            n = buf[pos]
+            pos += 1
+            if n > 0x7F:
+                n, pos = _vu_tail(buf, pos, n)
+            obj = strings[n]
+            flags = buf[pos]
+            offset = buf[pos + 1]
+            pos += 2
+            if offset > 0x7F:
+                offset, pos = _vu_tail(buf, pos, offset)
+            nbytes = buf[pos]
+            pos += 1
+            if nbytes > 0x7F:
+                nbytes, pos = _vu_tail(buf, pos, nbytes)
+            start, duration = unpack_dd(buf, pos)
+            pos += 16
+            if flags > 3:
+                raise ValueError(
+                    f"corrupt trace: unknown record flags {flags:#x}")
+            append(new_io_record(task, file, _OP_NAMES[flags & 1], offset,
+                                 nbytes, start, duration,
+                                 _IOCLASS_VALUES[flags >> 1], obj))
+        elif tag == _T_STR:
+            pos = _read_str(buf, pos + 1, strings)
+        else:
+            raise ValueError(
+                f"corrupt trace: frame tag {tag:#x} inside the record block")
+    if pos != end:
+        raise ValueError("corrupt trace: record block overruns its length")
+    return pos
+
+
+_READERS = {
+    _T_OBJPROF: (_read_object_profile, 0),
+    _T_SESSION: (_read_session, 1),
+    _T_STATS: (_read_stats, 2),
+}
 
 
 def decode_profile(data: bytes, with_io_records: bool = True):
@@ -444,49 +475,56 @@ def decode_profile(data: bytes, with_io_records: bool = True):
     With ``with_io_records=False`` the (dominant) per-operation record
     block is skipped in O(1) — everything the Analyzer and Diagnostics
     consume (header, object profiles, sessions, joined stats) is still
-    fully decoded.
+    fully decoded.  A malformed payload raises
+    ``ValueError("corrupt trace: ...")`` naming the problem.
     """
     from repro.mapper.mapper import TaskProfile
     from repro.simclock import TimeSpan
 
-    dec = _FrameDecoder(data)
+    if data[:4] != MAGIC:
+        raise ValueError("not a DaYu binary trace (bad magic)")
+    buf = data if type(data) is bytes else bytes(data)
+    pos = 4
+    strings: Dict[int, Optional[str]] = {0: None}
     task = ""
     start = end = 0.0
     files: List[str] = []
-    object_profiles: List[DataObjectProfile] = []
-    sessions: List[FileSession] = []
-    stats: List[DatasetIoStats] = []
+    # object profiles, file sessions, dataset stats
+    items: Tuple[list, list, list] = ([], [], [])
     records: List[VfdIoRecord] = []
     try:
         while True:
-            tag = dec.next_tag()
-            if tag == _T_END:
-                break
-            if tag == _T_STR:
-                dec.read_str()
-            elif tag == _T_HEADER:
-                task, start, end, files = dec.read_header()
-            elif tag == _T_OBJPROF:
-                object_profiles.append(dec.read_object_profile())
-            elif tag == _T_SESSION:
-                sessions.append(dec.read_session())
-            elif tag == _T_STATS:
-                stats.append(dec.read_stats())
-            elif tag == _T_RECORD:
-                records.append(dec.read_record())
+            tag = buf[pos]
+            pos += 1
+            reader = _READERS.get(tag)
+            if reader is not None:
+                item, pos = reader[0](buf, pos, strings)
+                items[reader[1]].append(item)
+            elif tag == _T_STR:
+                pos = _read_str(buf, pos, strings)
             elif tag == _T_RECORDS:
+                (size, ), pos = _vus(buf, pos, 1)
                 if with_io_records:
-                    dec._vu()  # byte length; frames inside are self-describing
+                    pos = _read_records(buf, pos, pos + size, strings,
+                                        records)
                 else:
-                    dec.skip_block()
+                    pos += size
+            elif tag == _T_HEADER:
+                (task, start, end, files), pos = _read_header(
+                    buf, pos, strings)
+            elif tag == _T_END:
+                break
             else:
                 raise ValueError(f"corrupt trace: unknown frame tag {tag:#x}")
+    except KeyError as exc:
+        raise ValueError(
+            f"corrupt trace: unknown string id {exc.args[0]}") from None
     except (IndexError, struct.error) as exc:
         raise ValueError("corrupt trace: truncated payload") from exc
     return TaskProfile(
         task=task, span=TimeSpan(start, end), files=files,
-        object_profiles=object_profiles, file_sessions=sessions,
-        io_records=records, dataset_stats=stats,
+        object_profiles=items[0], file_sessions=items[1],
+        io_records=records, dataset_stats=items[2],
     )
 
 

@@ -188,6 +188,13 @@ _COLUMNS: Dict[str, Tuple[Tuple[str, str], ...]] = {
     ),
 }
 
+#: Columns holding a variable number of values per row (split by a
+#: ``*_len`` column); every other column holds one value per row.
+_FLAT_COLUMNS = frozenset({
+    ("objprofs", "shape"), ("sessions", "data_objects"),
+    ("stats", "run_first"), ("stats", "run_span"), ("stats", "run_count"),
+})
+
 _FAMILY_ORDER = ("objprofs", "sessions", "stats", "records")
 _COLUMN_INDEX = {
     family: {name: i for i, (name, _) in enumerate(cols)}
@@ -280,6 +287,7 @@ def _encode_optf64(values: Sequence[Optional[float]]) -> bytes:
 
 
 def _decode_ints(enc: int, buf: bytes, count: int) -> List[int]:
+    """Decode ``count`` ints; a chunk too short for them raises IndexError."""
     if count == 0:
         return []
     if enc == _ENC_FIXED:
@@ -287,6 +295,8 @@ def _decode_ints(enc: int, buf: bytes, count: int) -> List[int]:
         if dtype is None:
             raise ValueError(
                 f"corrupt columnar trace: fixed int width {buf[0]}")
+        if len(buf) < 1 + buf[0] * count:
+            raise IndexError("fixed-width int chunk too short")
         return np.frombuffer(buf, dtype=dtype, count=count,
                              offset=1).tolist()
     if enc == _ENC_VARINT:
@@ -305,6 +315,8 @@ def _decode_ints(enc: int, buf: bytes, count: int) -> List[int]:
 
 
 def _decode_f64(buf: bytes, count: int) -> List[float]:
+    if len(buf) < 8 * count:
+        raise IndexError("f64 chunk too short")
     return np.frombuffer(buf, dtype="<f8", count=count).tolist()
 
 
@@ -320,6 +332,22 @@ def _decode_optf64(buf: bytes, count: int) -> List[Optional[float]]:
     except StopIteration:
         raise ValueError("corrupt columnar trace: presence bitmap claims "
                          "more values than the chunk holds") from None
+
+
+def _resolve(strings: List[Optional[str]], ids: Sequence[int]) -> list:
+    """Interned string ids -> strings."""
+    try:
+        return [strings[i] for i in ids]
+    except IndexError:
+        raise ValueError("corrupt columnar trace: unknown string id "
+                         f"(the footer interns {len(strings) - 1})") from None
+
+
+def _raw_op_name(code: int) -> Optional[str]:
+    if code not in codec._RAW_OP_NAMES:
+        raise ValueError(
+            f"corrupt columnar trace: unknown first_raw_op code {code}")
+    return codec._RAW_OP_NAMES[code]
 
 
 def _skip_stats(buf, pos: int) -> int:
@@ -625,7 +653,7 @@ class GroupReader:
     # -- identity ------------------------------------------------------
     @property
     def task(self) -> Optional[str]:
-        return self._reader.strings[self._meta.task_id]
+        return _resolve(self._reader.strings, (self._meta.task_id, ))[0]
 
     @property
     def start(self) -> float:
@@ -637,8 +665,7 @@ class GroupReader:
 
     @property
     def files(self) -> List[str]:
-        strings = self._reader.strings
-        return [strings[i] for i in self._meta.file_ids]
+        return _resolve(self._reader.strings, self._meta.file_ids)
 
     def n_rows(self, family: str) -> int:
         return self._meta.families[family][0]
@@ -659,25 +686,41 @@ class GroupReader:
             return cached
         meta = self.column_meta(family, name)
         if meta is None:
-            raise KeyError(f"no column {family}.{name}")
+            raise ValueError(
+                f"corrupt columnar trace: no column {family}.{name}")
         kind = dict(_COLUMNS[family])[name]
+        if (meta.count != self.n_rows(family)
+                and (family, name) not in _FLAT_COLUMNS):
+            raise ValueError(
+                f"corrupt columnar trace: column {family}.{name} counts "
+                f"{meta.count} value(s) for {self.n_rows(family)} row(s)")
         buf = self._reader.slice(meta.offset, meta.length)
-        if kind == "f64":
-            values = _decode_f64(buf, meta.count)
-        elif kind == "optf64":
-            values = _decode_optf64(buf, meta.count)
-        elif kind == "byte":
-            values = list(buf[:meta.count])
-        else:
-            values = _decode_ints(meta.enc, buf, meta.count)
+        try:
+            if kind == "f64":
+                values = _decode_f64(buf, meta.count)
+            elif kind == "optf64":
+                values = _decode_optf64(buf, meta.count)
+            elif kind == "byte":
+                values = list(buf[:meta.count])
+            else:
+                values = _decode_ints(meta.enc, buf, meta.count)
+        except IndexError:
+            values = None
+        if values is None or len(values) != meta.count:
+            raise ValueError(
+                f"corrupt columnar trace: column {family}.{name} chunk is "
+                f"too short for its {meta.count} value(s)")
         self._cache[key] = values
         return values
 
     def strid_column(self, family: str, name: str) -> list:
-        strings = self._reader.strings
-        return [strings[i] for i in self.column(family, name)]
+        return _resolve(self._reader.strings, self.column(family, name))
 
     def _split(self, lens: List[int], flat: list) -> List[list]:
+        if sum(lens) != len(flat):
+            raise ValueError(
+                f"corrupt columnar trace: per-row lengths sum to "
+                f"{sum(lens)}, flat column holds {len(flat)} value(s)")
         out, pos = [], 0
         for n in lens:
             out.append(flat[pos:pos + n])
@@ -739,10 +782,9 @@ class GroupReader:
 
     def file_sessions(self) -> List[FileSession]:
         col, scol = self.column, self.strid_column
-        strings = self._reader.strings
         objects = self._split(
             col("sessions", "data_objects_len"),
-            [strings[i] for i in col("sessions", "data_objects")])
+            scol("sessions", "data_objects"))
         return [
             FileSession(
                 task=task, file=file, open_time=ot, close_time=ct,
@@ -782,8 +824,7 @@ class GroupReader:
                 io_time=col("stats", "io_time")[i],
                 first_start=col("stats", "first_start")[i],
                 last_end=col("stats", "last_end")[i],
-                first_raw_op=codec._RAW_OP_NAMES[
-                    col("stats", "first_raw_op")[i]],
+                first_raw_op=_raw_op_name(col("stats", "first_raw_op")[i]),
             )
             s.set_region_runs(runs[i])
             out.append(s)
@@ -839,6 +880,8 @@ class RunReader:
         self._data = data
         self._mapped = mapped
         self._fileobj = fileobj
+        if len(data) < 16:
+            raise ValueError("corrupt columnar trace: no room for a footer")
         footer_len = _U64.unpack(bytes(data[-12:-4]))[0]
         footer_end = len(data) - 12
         footer_start = footer_end - footer_len

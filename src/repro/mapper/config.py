@@ -46,7 +46,8 @@ class DaYuConfig:
             struct-packed codec (:mod:`repro.mapper.codec`),
             ``"columnar"`` for the footer-indexed analytics form
             (:mod:`repro.mapper.columnar`), ``"json"`` for the verbose
-            interchange form.
+            interchange form.  ``dayu-run`` passes its own
+            ``--trace-format`` (default ``"binary"``) instead.
         vfd_costs: Modeled VFD profiler costs.
         vol_costs: Modeled VOL profiler costs.
         mapper_cost_per_record: Modeled Characteristic Mapper join cost per

@@ -2,13 +2,15 @@
 
 DaYu's runtime writes one profile per task
 (:meth:`DataSemanticMapper.save`) — compact binary
-(:mod:`repro.mapper.codec`, ``*.dayu``) or JSON interchange (``*.json``);
-the offline Workflow Analyzer then works from those files — a different
-process, usually a different machine.  This module provides the read side:
+(:mod:`repro.mapper.codec`, ``*.dayu``, what ``dayu-run`` saves by
+default), JSON interchange (``*.json``, ``dayu-run --trace-format json``)
+or columnar (:mod:`repro.mapper.columnar`, ``*.dayuc``); the offline
+Workflow Analyzer then works from those files — a different process,
+usually a different machine.  This module provides the read side:
 reconstructing :class:`~repro.mapper.mapper.TaskProfile` objects (and
-everything they contain) from either serialized form, so graphs and
+everything they contain) from any serialized form, so graphs and
 diagnostics can be built without re-running the workflow.  Loaders sniff
-the format from the payload, so directories may mix both.
+the format from the payload, so directories may mix them.
 
 ``with_io_records=False`` skips materializing the per-operation record
 list — the dominant trace section, which graph construction and the

@@ -3,6 +3,7 @@ and the coalesced page-run storage behind the region histograms."""
 
 import io
 import json
+import random
 
 import pytest
 
@@ -156,6 +157,92 @@ class TestStreaming:
         (tmp_path / "beta.dayu").write_bytes(codec.encode_profile(r))
         loaded = load_profiles_from_host_dir(str(tmp_path))
         assert sorted(q.task for q in loaded) == ["alpha", "beta"]
+
+
+def one_stats_profile():
+    """A profile whose only item is one dataset-stats row with small
+    counters, so every field of its frame sits at a known offset."""
+    stats = DatasetIoStats(task="t0", file="/f.h5", data_object="/d",
+                           reads=1, writes=2, first_raw_op="write")
+    return TaskProfile(task="t0", span=TimeSpan(0.0, 1.0), files=[],
+                       object_profiles=[], file_sessions=[], io_records=[],
+                       dataset_stats=[stats])
+
+
+def _decode_both_ways(blob):
+    for with_io_records in (True, False):
+        try:
+            codec.decode_profile(blob, with_io_records=with_io_records)
+        except ValueError:
+            pass  # the typed rejection; anything else escapes the test
+
+
+class TestCorruptTraces:
+    """A damaged trace decodes or raises ``ValueError``; never another
+    exception type.  (Damage that still decodes is not detected: the
+    format has no checksums.)"""
+
+    def test_unknown_first_raw_op_code(self):
+        blob = bytearray(codec.encode_profile(one_stats_profile()))
+        # ... raw-op code, zero region runs, empty record block, END.
+        assert blob[-5:] == bytes([2, 0, codec._T_RECORDS, 0, codec._T_END])
+        blob[-5] = 3
+        with pytest.raises(ValueError, match="unknown first_raw_op code 3"):
+            codec.decode_profile(bytes(blob))
+
+    def test_unknown_string_id(self):
+        blob = bytearray(codec.encode_profile(one_stats_profile()))
+        # MAGIC, STR "t0", then HEADER whose first field is the task id.
+        assert blob[8:10] == bytes([codec._T_HEADER, 1])
+        blob[9] = 0x7F
+        with pytest.raises(ValueError, match="unknown string id 127"):
+            codec.decode_profile(bytes(blob))
+
+    def test_unknown_record_flags(self):
+        p = one_stats_profile()
+        p.io_records = make_profile().io_records[:1]
+        blob = bytearray(codec.encode_profile(p))
+        # The trace ends: flags, offset 0, nbytes 4096 (two bytes), the
+        # start/duration pair, END.
+        at = len(blob) - 21
+        assert blob[at:at + 4] == bytes([1, 0, 0x80, 0x20])  # metadata write
+        blob[at] = 4
+        with pytest.raises(ValueError, match="unknown record flags"):
+            codec.decode_profile(bytes(blob))
+
+    def test_record_block_length_mismatch(self):
+        p = make_profile()
+        blob = bytearray(codec.encode_profile(p))
+        p.io_records = []
+        # Everything before the record block encodes as without records.
+        at = len(codec.encode_profile(p)) - 3
+        assert blob[at] == codec._T_RECORDS
+        blob[at + 1] -= 1
+        for with_io_records in (True, False):
+            with pytest.raises(ValueError, match="corrupt trace"):
+                codec.decode_profile(bytes(blob),
+                                     with_io_records=with_io_records)
+
+    @pytest.mark.parametrize("make", [make_profile, one_stats_profile])
+    def test_every_single_byte_flip(self, make):
+        blob = codec.encode_profile(make())
+        for i in range(4, len(blob)):
+            for mask in (0x01, 0x02, 0x80, 0xFF):
+                damaged = bytearray(blob)
+                damaged[i] ^= mask
+                _decode_both_ways(bytes(damaged))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_mutations(self, seed):
+        rng = random.Random(seed)
+        blob = codec.encode_profile(make_profile())
+        for _ in range(300):
+            damaged = bytearray(blob)
+            for _ in range(rng.randrange(1, 4)):
+                damaged[rng.randrange(4, len(damaged))] = rng.randrange(256)
+            if rng.random() < 0.3:
+                del damaged[rng.randrange(4, len(damaged)):]
+            _decode_both_ways(bytes(damaged))
 
 
 class TestSizes:

@@ -261,6 +261,80 @@ class TestCorruptChunks:
         assert columnar._skip_stats(entry + b"\xee", 0) == size
 
 
+class TestShortChunks:
+    """A chunk shorter than its footer count, or a count that disagrees
+    with the row count, is rejected rather than decoded short (``zip``
+    would silently drop rows)."""
+
+    @staticmethod
+    def _group(profile):
+        return RunReader.from_bytes(encode_columnar(profile)).groups[0]
+
+    @pytest.mark.parametrize("family,name,enc", [
+        ("records", "flags", columnar._ENC_BYTES),
+        ("stats", "first_raw_op", columnar._ENC_BYTES),
+        ("records", "offset", columnar._ENC_DELTA),
+        ("records", "nbytes", columnar._ENC_FIXED),
+        ("records", "start", columnar._ENC_F64),
+        ("stats", "first_start", columnar._ENC_OPTF64),
+    ])
+    def test_short_chunk_rejected(self, family, name, enc):
+        group = self._group(make_profile())
+        meta = group.column_meta(family, name)
+        assert meta.enc == enc
+        meta.length -= 1
+        with pytest.raises(ValueError, match="corrupt columnar trace"):
+            group.to_profile()
+
+    def test_short_varint_chunk_rejected(self):
+        p = make_profile()
+        p.dataset_stats[0].bytes_read = (1 << 64) + 7
+        group = self._group(p)
+        meta = group.column_meta("stats", "bytes_read")
+        assert meta.enc == columnar._ENC_VARINT
+        meta.length -= 1
+        with pytest.raises(ValueError, match="corrupt columnar trace"):
+            group.to_profile()
+
+    def test_column_count_must_match_rows(self):
+        group = self._group(make_profile())
+        meta = group.column_meta("records", "flags")
+        meta.count -= 1
+        meta.length -= 1
+        with pytest.raises(ValueError, match="for 3 row"):
+            group.to_profile()
+
+    def test_flat_column_must_match_row_lengths(self):
+        group = self._group(make_profile())
+        meta = group.column_meta("objprofs", "shape")
+        meta.count -= 1
+        with pytest.raises(ValueError, match="corrupt columnar trace"):
+            group.to_profile()
+
+    def test_unknown_first_raw_op_code(self):
+        blob = bytearray(encode_columnar(make_profile()))
+        meta = self._group(make_profile()).column_meta("stats",
+                                                       "first_raw_op")
+        assert blob[meta.offset] == 1  # "read"
+        blob[meta.offset] = 7
+        with pytest.raises(ValueError, match="first_raw_op code 7"):
+            decode_columnar(bytes(blob))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_mutations(self, seed):
+        rng = random.Random(seed)
+        blob = encode_columnar(make_profile())
+        for _ in range(300):
+            damaged = bytearray(blob)
+            damaged[rng.randrange(len(damaged))] ^= 1 << rng.randrange(8)
+            if rng.random() < 0.3:
+                del damaged[rng.randrange(len(damaged)):]
+            try:
+                decode_columnar(bytes(damaged))
+            except ValueError:
+                pass
+
+
 #: ``ddmd --scale 0.05`` compacted by a writer that stored page statistics
 #: in every footer entry (INT, FLOAT, OPTFLOAT and DISTINCT kinds).
 PAGESTAT_RUN = Path(__file__).parent / "data" / "ddmd-dyc1-pagestats"

@@ -112,7 +112,7 @@ class TestCli:
                          "--nodes", "2"]) == 0
         out = capsys.readouterr().out
         assert "makespan" in out
-        assert list(traces.glob("*.json"))
+        assert list(traces.glob("*.dayu"))
 
         assert analyze_main([str(traces), "--out", str(graphs),
                              "--regions"]) == 0
@@ -128,7 +128,14 @@ class TestCli:
     def test_run_other_workloads(self, workload, tmp_path):
         assert run_main([workload, "--out", str(tmp_path / "t"),
                          "--scale", "0.2"]) == 0
-        assert list((tmp_path / "t").glob("*.json"))
+        assert list((tmp_path / "t").glob("*.dayu"))
+
+    def test_run_json_trace_format(self, tmp_path):
+        out = tmp_path / "t"
+        assert run_main(["arldm", "--out", str(out), "--scale", "0.2",
+                         "--trace-format", "json"]) == 0
+        assert list(out.glob("*.json"))
+        assert not list(out.glob("*.dayu"))
 
     def test_run_pyflextrkr(self, tmp_path):
         assert run_main(["pyflextrkr", "--out", str(tmp_path / "t"),
